@@ -14,7 +14,7 @@ import io
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -98,8 +98,30 @@ class InstanceSpec:
 
     @classmethod
     def named(cls, test_id: str, seed: SeedPolicy) -> "InstanceSpec":
+        if test_id not in NAMED_SPECS:
+            raise ValidationError(f"unknown named spec {test_id!r}")
         n, m = NAMED_SPECS[test_id]
         return cls(test_id, n, m, seed)
+
+
+# report label per method
+_LABELS = {
+    "exact": "Exact",
+    "gw": "GW_Default",
+    "gw-multi": "GW_MultiInit",
+    "egw": "EGW({epsilon})",
+    "fgw": "FGW({alpha})",
+    "ga": "GA",
+}
+_DEFAULTS = {"egw": {"epsilon": 0.8}, "fgw": {"alpha": 0.5}}
+_PARAMS = {
+    "gw-multi": {"trials"},
+    "ga": {f.name for f in fields(GaConfig)} - {"seed"},
+    "egw": {"epsilon"},
+    "fgw": {"alpha"},
+}
+# gw-multi and ga take their defaults, and their value checks, from these
+_CONFIGS = {"gw-multi": MultiInitConfig, "ga": GaConfig}
 
 
 @dataclass(frozen=True)
@@ -109,20 +131,22 @@ class MethodSpec:
     name: str  # exact | gw | gw-multi | egw | fgw | ga
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.name not in _LABELS:
+            raise ValidationError(f"unknown method {self.name!r}")
+        unknown = sorted(set(self.params) - _PARAMS.get(self.name, set()))
+        if unknown:
+            raise ValidationError(f"method {self.name!r} takes no parameter {unknown}")
+        if self.name in _CONFIGS:
+            try:
+                _CONFIGS[self.name](**self.params)
+            except ValueError as exc:
+                raise ValidationError(f"method {self.name!r}: {exc}") from exc
+        if self.name == "egw" and not self.params.get("epsilon", 1.0) > 0:
+            raise ValidationError("epsilon must be positive")
+
     def label(self) -> str:
-        if self.name == "exact":
-            return "Exact"
-        if self.name == "gw":
-            return "GW_Default"
-        if self.name == "gw-multi":
-            return "GW_MultiInit"
-        if self.name == "egw":
-            return f"EGW({self.params.get('epsilon', 0.8)})"
-        if self.name == "fgw":
-            return f"FGW({self.params.get('alpha', 0.5)})"
-        if self.name == "ga":
-            return "GA"
-        raise ValidationError(f"unknown method {self.name!r}")
+        return _LABELS[self.name].format(**{**_DEFAULTS.get(self.name, {}), **self.params})
 
 
 @dataclass
@@ -211,18 +235,25 @@ def instance_to_json(inst: CqapInstance, test_id: str = "custom", seed: int = 0)
 
 
 def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
-    doc = json.loads(text)
-    if doc.get("schema") != INSTANCE_SCHEMA:
-        raise ValidationError(f"unsupported instance schema {doc.get('schema')!r}")
-    inst = CqapInstance(
-        agent_pos=np.asarray(doc["agent_pos"], dtype=np.float64),
-        task_pos=np.asarray(doc["task_pos"], dtype=np.float64),
-        capacity=np.asarray(doc["capacity"], dtype=np.int64),
-        demand=np.asarray(doc["demand"], dtype=np.int64),
-        flow=SymCostMatrix(np.asarray(doc["flow"], dtype=np.float64)),
-        distance=SymCostMatrix(np.asarray(doc["distance"], dtype=np.float64)),
-        linear_cost=np.asarray(doc["linear_cost"], dtype=np.float64),
-    )
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"instance document is not JSON: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != INSTANCE_SCHEMA:
+        raise ValidationError(f"unsupported instance schema {schema!r}")
+    try:
+        inst = CqapInstance(
+            agent_pos=np.asarray(doc["agent_pos"], dtype=np.float64),
+            task_pos=np.asarray(doc["task_pos"], dtype=np.float64),
+            capacity=np.asarray(doc["capacity"], dtype=np.int64),
+            demand=np.asarray(doc["demand"], dtype=np.int64),
+            flow=SymCostMatrix(np.asarray(doc["flow"], dtype=np.float64)),
+            distance=SymCostMatrix(np.asarray(doc["distance"], dtype=np.float64)),
+            linear_cost=np.asarray(doc["linear_cost"], dtype=np.float64),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed instance document: {exc!r}") from exc
     return inst, doc.get("test_id", "custom"), int(doc.get("seed", 0))
 
 
@@ -238,7 +269,7 @@ def solve_with_method(
     status, extra) where extra carries the solver coupling when one exists.
     """
     name = method.name
-    p = method.params
+    p = {**_DEFAULTS.get(name, {}), **method.params}
     if name == "exact":
         if enum_node_estimate(inst) > node_cap:
             return None, None, None, 0, "SkippedTooLarge", None
@@ -247,15 +278,7 @@ def solve_with_method(
         return obj, obj, True, 0, status, None
 
     if name == "ga":
-        cfg = GaConfig(
-            population=int(p.get("population", 100)),
-            generations=int(p.get("generations", 200)),
-            crossover_rate=float(p.get("crossover_rate", 0.9)),
-            mutation_rate=float(p.get("mutation_rate", 0.2)),
-            tournament_size=int(p.get("tournament_size", 3)),
-            seed=seed,
-        )
-        x, obj, history = solve_ga(inst, cfg)
+        x, obj, history = solve_ga(inst, GaConfig(**p, seed=seed))
         ok, _ = check_feasible(inst, x)
         return obj, obj, ok, len(history) - 1, "ok", None
 
@@ -263,17 +286,11 @@ def solve_with_method(
     if name == "gw":
         sol = solve_gw(problem)
     elif name == "gw-multi":
-        sol = solve_gw_multi_init(
-            problem,
-            MultiInitConfig(trials=int(p.get("trials", 20)), seed=seed),
-        )
+        sol = solve_gw_multi_init(problem, MultiInitConfig(**p, seed=seed))
     elif name == "egw":
-        sol = solve_entropic_gw(problem, epsilon=float(p.get("epsilon", 0.8)))
-    elif name == "fgw":
-        fgw = to_fgw_problem(inst, alpha=float(p.get("alpha", 0.5)))
-        sol = solve_fgw(fgw)
+        sol = solve_entropic_gw(problem, epsilon=p["epsilon"])
     else:
-        raise ValidationError(f"unknown method {name!r}")
+        sol = solve_fgw(to_fgw_problem(inst, alpha=p["alpha"]))
 
     relaxed = coupling_objective(inst, sol.coupling)
     rounded = round_coupling(inst, sol.coupling)
@@ -281,22 +298,6 @@ def solve_with_method(
     binary = cqap_objective(inst, rounded)
     status = "ok" if sol.converged else "NoConvergence"
     return relaxed, binary, ok, sol.iterations, status, sol.coupling
-
-
-def _time_cell(fn, measure_time: bool):
-    if not measure_time:
-        return fn(), 0.0
-    t0 = time.perf_counter()
-    result = fn()
-    elapsed = time.perf_counter() - t0
-    if elapsed < 1.0:
-        times = [elapsed]
-        for _ in range(2):
-            t0 = time.perf_counter()
-            result = fn()
-            times.append(time.perf_counter() - t0)
-        elapsed = sorted(times)[1]
-    return result, elapsed
 
 
 def run_suite(
@@ -311,25 +312,27 @@ def run_suite(
     Cells are independent and may run on several worker threads; reports are
     reduced in (instance, method) order so output is identical for any
     worker count. Per-cell failures become status entries, never aborts.
+    Each cell's runtime is one wall-clock measurement.
     """
     if not specs or not methods:
         raise NonEmptyRequired("specs and methods must both be non-empty")
-
     instances = [(spec, generate_instance(spec)) for spec in specs]
+    return _solve_cells(instances, methods, node_cap, workers, measure_time)
 
+
+def _proven_optimum(inst: CqapInstance, node_cap: int) -> float | None:
+    if enum_node_estimate(inst) > node_cap:
+        return None
+    try:
+        _, obj, proven = solve_exact_enum(inst, node_cap=node_cap)
+    except Infeasible:
+        return None
+    return obj if proven else None
+
+
+def _solve_cells(instances, methods, node_cap, workers, measure_time):
     # one oracle run per instance, reused for every method's gap
-    oracle: dict[int, float | None] = {}
-    for idx, (spec, inst) in enumerate(instances):
-        opt = None
-        if enum_node_estimate(inst) <= node_cap:
-            try:
-                _, obj, proven = solve_exact_enum(inst, node_cap=node_cap)
-                if proven:
-                    opt = obj
-            except Infeasible:
-                opt = None
-        oracle[idx] = opt
-
+    oracle = [_proven_optimum(inst, node_cap) for _, inst in instances]
     cells = [
         (idx, spec, inst, method)
         for idx, (spec, inst) in enumerate(instances)
@@ -338,57 +341,48 @@ def run_suite(
 
     def run_cell(cell):
         idx, spec, inst, method = cell
-        cell_seed = spec.seed.substream(_method_stream(method))
+        row = (spec.test_id, method.label(), dict(method.params))
+        t0 = time.perf_counter()
         try:
-            out, elapsed = _time_cell(
-                lambda: solve_with_method(inst, method, cell_seed, node_cap),
-                measure_time,
-            )
-            relaxed, binary, feasible, iterations, status, _ = out
-        except Infeasible as exc:
-            return SolveReport(
-                spec.test_id, method.label(), dict(method.params),
-                None, None, None, None, 0.0, 0, spec.seed.master_seed,
-                status=f"Infeasible: {exc}",
+            relaxed, binary, feasible, iterations, status, _ = solve_with_method(
+                inst, method, spec.seed.substream(_method_stream(method)), node_cap
             )
         except Exception as exc:  # noqa: BLE001 - cell failures are recorded
+            kind = "Infeasible" if isinstance(exc, Infeasible) else "error"
             return SolveReport(
-                spec.test_id, method.label(), dict(method.params),
-                None, None, None, None, 0.0, 0, spec.seed.master_seed,
-                status=f"error: {exc}",
+                *row, None, None, None, None, 0.0, 0, spec.seed.master_seed,
+                status=f"{kind}: {exc}",
             )
+        elapsed = time.perf_counter() - t0 if measure_time else 0.0
         gap = None
-        exact_opt = oracle[idx]
-        if exact_opt is not None and binary is not None and feasible:
-            gap = gap_percent(binary, exact_opt)
+        if oracle[idx] is not None and binary is not None and feasible:
+            gap = gap_percent(binary, oracle[idx])
         return SolveReport(
-            spec.test_id, method.label(), dict(method.params),
-            relaxed, binary, feasible, gap, elapsed, iterations,
+            *row, relaxed, binary, feasible, gap, elapsed, iterations,
             spec.seed.master_seed, status=status,
         )
 
     if workers <= 1:
-        reports = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_cell, cells))
-    return reports
+        return [run_cell(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_cell, cells))
 
 
 def _method_stream(method: MethodSpec) -> int:
     # fixed per-method stream offsets keep cells order-independent
-    order = ["exact", "gw", "gw-multi", "egw", "fgw", "ga"]
-    base = order.index(method.name) if method.name in order else len(order)
-    return 1000 * (base + 1)
+    order = ("exact", "gw", "gw-multi", "egw", "fgw", "ga")
+    return 1000 * (order.index(method.name) + 1)
 
 
 def epsilon_sweep(
     spec: InstanceSpec,
+    inst: CqapInstance,
     epsilons: list[float],
     node_cap: int = 100_000_000,
     measure_time: bool = True,
 ) -> list[SolveReport]:
-    """Entropic-GW regularization sweep on one instance."""
+    """Entropic-GW regularization sweep on ``inst``; ``spec`` names the rows
+    and seeds the cells."""
     if not epsilons:
         raise NonEmptyRequired("epsilon grid must be non-empty")
     if any(e <= 0 for e in epsilons):
@@ -396,16 +390,18 @@ def epsilon_sweep(
     if len(set(epsilons)) != len(epsilons):
         raise ValidationError("duplicate epsilon values in grid")
     methods = [MethodSpec("egw", {"epsilon": e}) for e in epsilons]
-    return run_suite([spec], methods, node_cap=node_cap, measure_time=measure_time)
+    return _solve_cells([(spec, inst)], methods, node_cap, 1, measure_time)
 
 
 def alpha_sweep(
     spec: InstanceSpec,
+    inst: CqapInstance,
     alphas: list[float],
     node_cap: int = 100_000_000,
     measure_time: bool = True,
 ) -> list[SolveReport]:
-    """Fused-GW trade-off sweep on one instance."""
+    """Fused-GW trade-off sweep on ``inst``; ``spec`` names the rows and
+    seeds the cells."""
     if not alphas:
         raise NonEmptyRequired("alpha grid must be non-empty")
     if any(not 0.0 <= a <= 1.0 for a in alphas):
@@ -413,7 +409,7 @@ def alpha_sweep(
     if len(set(alphas)) != len(alphas):
         raise ValidationError("duplicate alpha values in grid")
     methods = [MethodSpec("fgw", {"alpha": a}) for a in alphas]
-    return run_suite([spec], methods, node_cap=node_cap, measure_time=measure_time)
+    return _solve_cells([(spec, inst)], methods, node_cap, 1, measure_time)
 
 
 def _fmt(value) -> str:

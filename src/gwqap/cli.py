@@ -1,7 +1,9 @@
 """Command-line interface: instance generation, solving, bench suites, sweeps.
 
-Exit codes: 0 success, 2 validation error, 3 solver non-convergence
-(best-effort output still written), 4 infeasible instance.
+Exit codes: 0 success, 2 validation error (including a malformed instance
+file), 3 solver non-convergence (best-effort output still written), 4
+infeasible instance or an instance the generator could not draw
+(GenerationFailed).
 """
 
 from __future__ import annotations
@@ -26,14 +28,26 @@ from .bench import (
 )
 from .core import SeedPolicy
 from .cqap import solve_exact_enum
-from .errors import Infeasible, NoConvergence, ValidationError
+from .errors import GenerationFailed, Infeasible, ValidationError
 
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INFEASIBLE = 4
 
 
-@click.group()
+class _Main(click.Group):
+    """Maps library errors raised by any command to the documented exit codes."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValidationError as exc:
+            _fail(EXIT_VALIDATION, exc)
+        except (Infeasible, GenerationFailed) as exc:
+            _fail(EXIT_INFEASIBLE, exc)
+
+
+@click.group(cls=_Main)
 def main():
     """Assignment problems as optimal transport: solvers and benchmarks."""
 
@@ -41,6 +55,11 @@ def main():
 def _fail(code, message):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _load_instance(path):
+    with open(path) as fh:
+        return instance_from_json(fh.read())
 
 
 @main.command()
@@ -51,17 +70,14 @@ def _fail(code, message):
 @click.option("--out", type=click.Path(), required=True)
 def gen(spec_id, agents, tasks, seed, out):
     """Generate a random CQAP instance and write it as JSON."""
-    try:
-        policy = SeedPolicy(seed)
-        if spec_id in NAMED_SPECS:
-            spec = InstanceSpec.named(spec_id, policy)
-        else:
-            if agents is None or tasks is None:
-                raise ValidationError("--agents and --tasks required for custom specs")
-            spec = InstanceSpec(spec_id, agents, tasks, policy)
-        inst = generate_instance(spec)
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, exc)
+    policy = SeedPolicy(seed)
+    if spec_id in NAMED_SPECS:
+        spec = InstanceSpec.named(spec_id, policy)
+    else:
+        if agents is None or tasks is None:
+            raise ValidationError("--agents and --tasks required for custom specs")
+        spec = InstanceSpec(spec_id, agents, tasks, policy)
+    inst = generate_instance(spec)
     with open(out, "w") as fh:
         fh.write(instance_to_json(inst, test_id=spec.test_id, seed=seed))
     click.echo(f"wrote {spec.test_id} instance ({spec.n_agents}x{spec.n_tasks}) to {out}")
@@ -97,17 +113,11 @@ def _method_from_flags(method, trials, epsilon, alpha, ga_pop, ga_gens):
 @click.option("--out", type=click.Path(), required=True)
 def solve(inst_path, method, trials, epsilon, alpha, ga_pop, ga_gens, seed, out):
     """Solve one instance with one method and write a JSON report."""
-    with open(inst_path) as fh:
-        inst, test_id, _ = instance_from_json(fh.read())
+    inst, test_id, _ = _load_instance(inst_path)
     spec = _method_from_flags(method, trials, epsilon, alpha, ga_pop, ga_gens)
-    try:
-        relaxed, binary, feasible, iterations, status, _ = solve_with_method(
-            inst, spec, SeedPolicy(seed)
-        )
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, exc)
-    except Infeasible as exc:
-        _fail(EXIT_INFEASIBLE, exc)
+    relaxed, binary, feasible, iterations, status, _ = solve_with_method(
+        inst, spec, SeedPolicy(seed)
+    )
     report = SolveReport(
         instance_id=test_id,
         method=spec.label(),
@@ -138,17 +148,14 @@ def solve(inst_path, method, trials, epsilon, alpha, ga_pop, ga_gens, seed, out)
 @click.option("--out", type=click.Path(), required=True)
 def bench(specs, methods, seed, fmt, workers, no_timing, out):
     """Run the full suite over named specs and methods."""
-    try:
-        spec_list = [
-            InstanceSpec.named(s.strip(), SeedPolicy(seed, stream_id=i))
-            for i, s in enumerate(specs.split(","))
-        ]
-        method_list = [MethodSpec(m.strip()) for m in methods.split(",")]
-        reports = run_suite(
-            spec_list, method_list, workers=workers, measure_time=not no_timing
-        )
-    except (ValidationError, KeyError) as exc:
-        _fail(EXIT_VALIDATION, exc)
+    spec_list = [
+        InstanceSpec.named(s.strip(), SeedPolicy(seed, stream_id=i))
+        for i, s in enumerate(specs.split(","))
+    ]
+    method_list = [MethodSpec(m.strip()) for m in methods.split(",")]
+    reports = run_suite(
+        spec_list, method_list, workers=workers, measure_time=not no_timing
+    )
     with open(out, "wb") as fh:
         fh.write(emit_report(reports, fmt))
     click.echo(f"wrote {len(reports)} reports to {out}")
@@ -161,21 +168,12 @@ def bench(specs, methods, seed, fmt, workers, no_timing, out):
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True)
 def sweep(kind, inst_path, grid, seed, out):
-    """Parameter sweep (EGW epsilon or FGW alpha) on one instance."""
-    with open(inst_path) as fh:
-        _, test_id, inst_seed = instance_from_json(fh.read())
+    """Parameter sweep (EGW epsilon or FGW alpha) on the file's instance."""
+    inst, test_id, inst_seed = _load_instance(inst_path)
     values = [float(v) for v in grid.split(",")]
-    # re-derive the spec so the sweep regenerates the same instance
-    try:
-        with open(inst_path) as fh:
-            inst, _, _ = instance_from_json(fh.read())
-        spec = InstanceSpec(test_id, inst.n, inst.m, SeedPolicy(inst_seed))
-        if kind == "epsilon":
-            reports = epsilon_sweep(spec, values)
-        else:
-            reports = alpha_sweep(spec, values)
-    except ValidationError as exc:
-        _fail(EXIT_VALIDATION, exc)
+    spec = InstanceSpec(test_id, inst.n, inst.m, SeedPolicy(inst_seed))
+    sweep_fn = epsilon_sweep if kind == "epsilon" else alpha_sweep
+    reports = sweep_fn(spec, inst, values)
     with open(out, "wb") as fh:
         fh.write(emit_report(reports, "csv"))
     click.echo(f"wrote {len(reports)} sweep rows to {out}")
@@ -186,13 +184,10 @@ def sweep(kind, inst_path, grid, seed, out):
 @click.option("--node-cap", type=int, default=100_000_000)
 def oracle(inst_path, node_cap):
     """Exact enumeration oracle for one instance."""
-    with open(inst_path) as fh:
-        inst, _, _ = instance_from_json(fh.read())
+    inst, _, _ = _load_instance(inst_path)
     try:
         x, obj, proven = solve_exact_enum(inst, node_cap=node_cap)
-    except Infeasible as exc:
-        _fail(EXIT_INFEASIBLE, exc)
-    except ValueError as exc:
+    except ValueError as exc:  # the oracle refuses instances with n > 25
         _fail(EXIT_VALIDATION, exc)
     click.echo(f"objective={obj!r} proven={proven}")
     for row in x.x:

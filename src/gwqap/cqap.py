@@ -62,7 +62,7 @@ class AssignmentMatrix:
     x: np.ndarray  # n x m binary
 
     def __post_init__(self):
-        if not np.isin(self.x, (0, 1)).all():
+        if not ((self.x == 0) | (self.x == 1)).all():
             raise DimensionMismatch("assignment entries must be 0/1")
 
 

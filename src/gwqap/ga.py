@@ -43,23 +43,21 @@ class Chromosome:
 
 def decode(inst: CqapInstance, chrom: Chromosome) -> AssignmentMatrix:
     """Greedy capacity-feasible decoding of a priority permutation."""
-    n, m = inst.n, inst.m
     F = inst.flow.entries
     D = inst.distance.entries
-    x = np.zeros((n, m), dtype=np.int64)
-    load = np.zeros(n, dtype=np.int64)
+    x = np.zeros((inst.n, inst.m))
+    residual = inst.capacity.copy()
     for j in chrom.priority:
-        residual = inst.capacity - load
         feasible = np.flatnonzero(residual >= inst.demand[j])
         if feasible.size == 0:
             continue
-        # marginal objective increase of setting x[i, j] = 1
-        cross = F @ x @ D.T  # (i, j) -> quadratic interaction with current x
-        delta = inst.linear_cost[feasible, j] + 2.0 * cross[feasible, j]
-        i = int(feasible[np.argmin(delta)])
+        # marginal objective increase of setting x[i, j] = 1: column j of
+        # the interaction F x D^T with the tasks placed so far
+        delta = inst.linear_cost[feasible, j] + 2.0 * (F[feasible] @ (x @ D[j]))
+        i = feasible[np.argmin(delta)]
         x[i, j] = 1
-        load[i] += inst.demand[j]
-    return AssignmentMatrix(x)
+        residual[i] -= inst.demand[j]
+    return AssignmentMatrix(x.astype(np.int64))
 
 
 def _fitness(inst: CqapInstance, x: AssignmentMatrix) -> float:
@@ -68,17 +66,10 @@ def _fitness(inst: CqapInstance, x: AssignmentMatrix) -> float:
 
 
 def _order_crossover(p1, p2, rng):
-    m = p1.shape[0]
-    a, b = sorted(rng.integers(0, m, size=2))
-    child = -np.ones(m, dtype=np.int64)
-    child[a : b + 1] = p1[a : b + 1]
-    fill = [t for t in p2 if t not in set(child[a : b + 1])]
-    idx = 0
-    for pos in range(m):
-        if child[pos] < 0:
-            child[pos] = fill[idx]
-            idx += 1
-    return child
+    a, b = sorted(rng.integers(0, p1.shape[0], size=2))
+    kept = set(p1[a : b + 1].tolist())
+    fill = np.array([t for t in p2.tolist() if t not in kept], dtype=np.int64)
+    return np.concatenate((fill[:a], p1[a : b + 1], fill[a:]))
 
 
 def _swap_mutation(p, rng):
@@ -98,34 +89,29 @@ def solve_ga(
     history). Fully deterministic given the config seed.
     """
     rng = config.seed.generator()
-    m = inst.m
-    pop = [rng.permutation(m) for _ in range(config.population)]
-    decoded = [decode(inst, Chromosome(p)) for p in pop]
-    fits = np.array([_fitness(inst, x) for x in decoded])
+    pop = [rng.permutation(inst.m) for _ in range(config.population)]
 
-    history = [float(fits.min())]
-    for _ in range(config.generations):
-        order = np.argsort(fits, kind="stable")
-        elite = pop[order[0]].copy()
-        children = [elite]
-        while len(children) < config.population:
-            def pick():
-                contenders = rng.integers(0, config.population, size=config.tournament_size)
-                return pop[min(contenders, key=lambda c: (fits[c], c))]
+    def pick():
+        contenders = rng.integers(0, config.population, size=config.tournament_size)
+        return pop[min(contenders, key=lambda c: (fits[c], c))]
 
-            p1, p2 = pick(), pick()
-            if rng.random() < config.crossover_rate:
-                child = _order_crossover(p1, p2, rng)
-            else:
-                child = p1.copy()
-            if rng.random() < config.mutation_rate:
-                child = _swap_mutation(child, rng)
-            children.append(child)
-        pop = children
+    history = []
+    for generation in range(config.generations + 1):
+        if generation:
+            children = [pop[int(np.argmin(fits))]]
+            while len(children) < config.population:
+                p1, p2 = pick(), pick()
+                if rng.random() < config.crossover_rate:
+                    child = _order_crossover(p1, p2, rng)
+                else:
+                    child = p1
+                if rng.random() < config.mutation_rate:
+                    child = _swap_mutation(child, rng)
+                children.append(child)
+            pop = children
         decoded = [decode(inst, Chromosome(p)) for p in pop]
         fits = np.array([_fitness(inst, x) for x in decoded])
         history.append(float(fits.min()))  # elitism keeps this non-increasing
 
-    best = int(np.argmin(fits))
-    best_x = decoded[best]
+    best_x = decoded[int(np.argmin(fits))]
     return best_x, cqap_objective(inst, best_x), np.array(history)

@@ -157,20 +157,37 @@ def gw_gradient(problem: GwProblem, plan) -> np.ndarray:
     return 2.0 * _cross_term(problem, p)
 
 
+def _check_init(problem: GwProblem, init: Coupling | None) -> Coupling:
+    """The problem's default init, or ``init`` once its shape and marginals
+    (to 1e-9) are checked against the problem."""
+    if init is None:
+        return problem.default_init()
+    if init.shape != problem.shape:
+        raise InvalidInit(f"init shape {init.shape} != {problem.shape}")
+    row_err, col_err = marginal_violation(
+        Coupling(init.plan, problem.source.mass, problem.target.mass)
+    )
+    if max(row_err, col_err) > 1e-9:
+        raise InvalidInit(f"init marginals off by ({row_err:.2e}, {col_err:.2e})")
+    return init
+
+
 def _fw_solve(
     problem: GwProblem,
     linear_cost,
     alpha: float,
-    init: Coupling,
+    init: Coupling | None,
     max_iter: int,
     tol: float,
 ) -> tuple[Coupling, list[float], bool, int]:
     """Conditional gradient on alpha*(GW + concavity term) + (1-alpha)*<M, pi>.
 
-    Each iteration linearizes at the current plan, finds the optimal polytope
-    vertex by exact OT, and takes the closed-form quadratic line-search step
-    clamped to [0, 1].
+    Starts from ``init`` (checked) or the default init. Each iteration
+    linearizes at the current plan, finds the optimal polytope vertex by
+    exact OT, and takes the closed-form quadratic line-search step clamped
+    to [0, 1].
     """
+    init = _check_init(problem, init)
     h = problem.source.mass
     g = problem.target.mass
     M = linear_cost
@@ -231,18 +248,6 @@ def solve_gw(
     The objective is gw_loss plus the problem's concavity term. The default
     initialization is the product coupling of the marginals.
     """
-    if init is None:
-        init = problem.default_init()
-    else:
-        if init.shape != problem.shape:
-            raise InvalidInit(f"init shape {init.shape} != {problem.shape}")
-        row_err, col_err = marginal_violation(
-            Coupling(init.plan, problem.source.mass, problem.target.mass)
-        )
-        if max(row_err, col_err) > 1e-9:
-            raise InvalidInit(
-                f"init marginals off by ({row_err:.2e}, {col_err:.2e})"
-            )
     coupling, history, converged, iters = _fw_solve(
         problem, None, 1.0, init, max_iter, tol
     )
@@ -262,11 +267,8 @@ def solve_fgw(
     tol: float = 1e-9,
 ) -> GwSolution:
     """Fused GW: conditional gradient on the alpha-blended objective."""
-    gwp = problem.gw
-    if init is None:
-        init = gwp.default_init()
     coupling, history, converged, iters = _fw_solve(
-        gwp, problem.feature_cost, problem.alpha, init, max_iter, tol
+        problem.gw, problem.feature_cost, problem.alpha, init, max_iter, tol
     )
     return GwSolution(
         coupling=coupling,

@@ -20,7 +20,7 @@ from gwqap import (
     solve_exact_ot,
     to_gw_problem,
 )
-from gwqap.bench import NAMED_SPECS, CSV_COLUMNS
+from gwqap.bench import NAMED_SPECS, CSV_COLUMNS, solve_with_method
 from gwqap.errors import NonEmptyRequired, UnknownFormat, ValidationError
 
 DIAMETER = np.sqrt(200.0)  # diagonal of the [0,10]^2 square
@@ -119,44 +119,116 @@ class TestRunSuite:
         )
         assert a == b == c
 
+    def test_each_cell_runs_once_when_timed(self, monkeypatch):
+        import gwqap.bench as bench
+
+        calls = []
+        solve = bench.solve_with_method
+
+        def counting(inst, method, seed, node_cap):
+            calls.append(method.name)
+            return solve(inst, method, seed, node_cap)
+
+        monkeypatch.setattr(bench, "solve_with_method", counting)
+        specs = [InstanceSpec.named("S1", SeedPolicy(3))]
+        reports = run_suite(specs, [MethodSpec("exact"), MethodSpec("gw")])
+        assert calls == ["exact", "gw"]
+        assert all(r.runtime_s > 0.0 for r in reports)
+
+
+class TestMethodSpec:
+    def test_unknown_param_rejected(self):
+        with pytest.raises(ValidationError):
+            MethodSpec("gw-multi", {"trails": 1})
+        with pytest.raises(ValidationError):
+            MethodSpec("egw", {"alpha": 0.5})
+        with pytest.raises(ValidationError):
+            MethodSpec("gw", {"trials": 3})
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValidationError):
+            MethodSpec("sa")
+
+    def test_only_trials_reach_gw_multi(self):
+        MethodSpec("gw-multi", {"trials": 2})
+        with pytest.raises(ValidationError):
+            MethodSpec("gw-multi", {"trials": 2, "jitter": 1e-5})
+
+    def test_bad_param_values_rejected(self):
+        for name, params in (
+            ("gw-multi", {"trials": -1}),
+            ("ga", {"population": 1}),
+            ("ga", {"mutation_rate": 1.5}),
+            ("egw", {"epsilon": 0.0}),
+        ):
+            with pytest.raises(ValidationError):
+                MethodSpec(name, params)
+
+    def test_seed_stream_offsets(self):
+        from gwqap.bench import _method_stream
+
+        names = ["exact", "gw", "gw-multi", "egw", "fgw", "ga"]
+        offsets = [_method_stream(MethodSpec(n)) for n in names]
+        assert offsets == [1000, 2000, 3000, 4000, 5000, 6000]
+
+    def test_config_fields_accepted(self):
+        MethodSpec("ga", {"population": 10, "tournament_size": 2})
+        assert MethodSpec("fgw").label() == "FGW(0.5)"
+        assert MethodSpec("egw", {"epsilon": 0.05}).label() == "EGW(0.05)"
+
 
 class TestSweeps:
     def test_epsilon_sweep_columns(self):
         spec = InstanceSpec.named("S2", SeedPolicy(1))
-        reports = epsilon_sweep(spec, [0.8, 0.5], measure_time=False)
+        reports = epsilon_sweep(spec, generate_instance(spec), [0.8, 0.5], measure_time=False)
         assert [r.method for r in reports] == ["EGW(0.8)", "EGW(0.5)"]
 
     def test_epsilon_validation(self):
         spec = InstanceSpec.named("S1", SeedPolicy(0))
+        inst = generate_instance(spec)
         with pytest.raises(ValidationError):
-            epsilon_sweep(spec, [0.5, 0.5])
+            epsilon_sweep(spec, inst, [0.5, 0.5])
         with pytest.raises(ValidationError):
-            epsilon_sweep(spec, [-1.0])
+            epsilon_sweep(spec, inst, [-1.0])
         with pytest.raises(NonEmptyRequired):
-            epsilon_sweep(spec, [])
+            epsilon_sweep(spec, inst, [])
 
     def test_alpha_zero_matches_exact_ot(self):
         from gwqap import solve_fgw, to_fgw_problem
 
         spec = InstanceSpec.named("S1", SeedPolicy(6))
         inst = generate_instance(spec)
-        reports = alpha_sweep(spec, [0.0], measure_time=False)
+        reports = alpha_sweep(spec, inst, [0.0], measure_time=False)
         assert reports[0].method == "FGW(0.0)"
         sol = solve_fgw(to_fgw_problem(inst, 0.0))
         prob = to_gw_problem(inst)
         _, exact = solve_exact_ot(inst.linear_cost, prob.source.mass, prob.target.mass)
         assert sol.objective == pytest.approx(exact, abs=1e-8)
 
+    def test_sweep_on_given_instance(self):
+        from tests.test_cli import _hand_made_3x3
+
+        inst = _hand_made_3x3()
+        spec = InstanceSpec("custom", 3, 3, SeedPolicy(0))
+        given = alpha_sweep(spec, inst, [0.0], measure_time=False)[0]
+        drawn = alpha_sweep(spec, generate_instance(spec), [0.0], measure_time=False)[0]
+        direct = solve_with_method(inst, MethodSpec("fgw", {"alpha": 0.0}), SeedPolicy(0))
+        assert given.objective_binary == direct[1]
+        assert given.objective_relaxed == direct[0]
+        assert drawn.objective_binary != given.objective_binary
+
     def test_alpha_validation(self):
         spec = InstanceSpec.named("S1", SeedPolicy(0))
+        inst = generate_instance(spec)
         with pytest.raises(ValidationError):
-            alpha_sweep(spec, [1.2])
+            alpha_sweep(spec, inst, [1.2])
         with pytest.raises(ValidationError):
-            alpha_sweep(spec, [0.3, 0.3])
+            alpha_sweep(spec, inst, [0.3, 0.3])
 
     def test_alpha_sweep_emits_four_columns(self):
         spec = InstanceSpec.named("S1", SeedPolicy(2))
-        reports = alpha_sweep(spec, [0.0, 0.3, 0.5, 0.7], measure_time=False)
+        reports = alpha_sweep(spec, generate_instance(spec), [0.0, 0.3, 0.5, 0.7],
+                              measure_time=False)
         assert len(reports) == 4
 
 

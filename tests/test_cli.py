@@ -1,9 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 from click.testing import CliRunner
 
-from gwqap.bench import instance_to_json
+from gwqap.bench import CSV_COLUMNS, instance_to_json
 from gwqap.cli import main
 from tests.test_cqap import make_instance
 
@@ -98,3 +100,157 @@ def test_sweep_validation_exit_code(tmp_path):
         ],
     )
     assert result.exit_code == 2
+
+
+def _hand_made_3x3():
+    return make_instance(
+        [2, 2, 2], [1, 1, 1],
+        flow=[[0, 1, 4], [1, 0, 2], [4, 2, 0]],
+        distance=[[0, 3, 1], [3, 0, 2], [1, 2, 0]],
+        linear=[[1, 5, 2], [4, 1, 3], [2, 3, 1]],
+    )
+
+
+def _wrong_schema_file(tmp_path):
+    doc = json.loads(instance_to_json(_hand_made_3x3()))
+    doc["schema"] = "cqap/0"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_solve_wrong_schema_exit_code(tmp_path):
+    path = _wrong_schema_file(tmp_path)
+    result = CliRunner().invoke(
+        main, ["solve", "--inst", str(path), "--method", "gw", "--out", str(tmp_path / "r.json")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "schema" in result.output
+
+
+def test_oracle_wrong_schema_exit_code(tmp_path):
+    path = _wrong_schema_file(tmp_path)
+    result = CliRunner().invoke(main, ["oracle", "--inst", str(path)])
+    assert result.exit_code == 2, result.output
+
+
+def test_sweep_wrong_schema_exit_code(tmp_path):
+    path = _wrong_schema_file(tmp_path)
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--kind", "alpha", "--inst", str(path), "--grid", "0.5",
+         "--out", str(tmp_path / "s.csv")],
+    )
+    assert result.exit_code == 2, result.output
+
+
+def test_solve_malformed_file_exit_code(tmp_path):
+    doc = json.loads(instance_to_json(_hand_made_3x3()))
+    del doc["flow"]
+    for text in (json.dumps(doc), "[]", "{"):
+        path = tmp_path / "malformed.json"
+        path.write_text(text)
+        result = CliRunner().invoke(
+            main,
+            ["solve", "--inst", str(path), "--method", "gw", "--out", str(tmp_path / "r.json")],
+        )
+        assert result.exit_code == 2, (text, result.output)
+
+
+def test_gen_generation_failed_exit_code(tmp_path):
+    # the generator refuses L2 on seed 0
+    result = CliRunner().invoke(
+        main, ["gen", "--spec", "L2", "--seed", "0", "--out", str(tmp_path / "x.json")]
+    )
+    assert result.exit_code == 4, result.output
+
+
+def test_bench_generation_failed_exit_code(tmp_path):
+    result = CliRunner().invoke(
+        main,
+        ["bench", "--specs", "L2", "--methods", "gw", "--seed", "0",
+         "--out", str(tmp_path / "r.csv")],
+    )
+    assert result.exit_code == 4, result.output
+
+
+def test_bench_unknown_spec_exit_code(tmp_path):
+    result = CliRunner().invoke(
+        main,
+        ["bench", "--specs", "S9", "--methods", "gw", "--out", str(tmp_path / "r.csv")],
+    )
+    assert result.exit_code == 2, result.output
+
+
+def test_sweep_runs_on_the_files_instance(tmp_path):
+    runner = CliRunner()
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(
+        main,
+        ["sweep", "--kind", "alpha", "--inst", str(path), "--grid", "0.0", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    row = out.read_text().strip().split("\n")[1].split(",")
+    report = tmp_path / "r.json"
+    result = runner.invoke(
+        main,
+        ["solve", "--inst", str(path), "--method", "fgw", "--alpha", "0.0", "--out", str(report)],
+    )
+    assert result.exit_code == 0, result.output
+    solved = json.loads(report.read_text())["reports"][0]
+    assert float(row[4]) == solved["objective_binary"]
+
+
+def test_sweep_on_generated_file_matches_library(tmp_path):
+    from gwqap import InstanceSpec, SeedPolicy, alpha_sweep, emit_report, generate_instance
+
+    runner = CliRunner()
+    inst_path = tmp_path / "inst.json"
+    runner.invoke(main, ["gen", "--spec", "S2", "--seed", "5", "--out", str(inst_path)])
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(
+        main,
+        ["sweep", "--kind", "alpha", "--inst", str(inst_path), "--grid", "0.0,0.5",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    spec = InstanceSpec.named("S2", SeedPolicy(5))
+    expected = emit_report(
+        alpha_sweep(spec, generate_instance(spec), [0.0, 0.5], measure_time=False), "csv"
+    )
+
+    def rows(text):
+        rows = list(csv.reader(io.StringIO(text)))
+        for row in rows:
+            del row[CSV_COLUMNS.index("runtime_s")]
+        return rows
+
+    assert rows(out.read_text()) == rows(expected.decode())
+
+
+def test_solve_bad_param_value_exit_code(tmp_path):
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    for flags in (["--method", "ga", "--ga-pop", "1"], ["--method", "egw", "--epsilon", "0"]):
+        result = CliRunner().invoke(
+            main, ["solve", "--inst", str(path), *flags, "--out", str(tmp_path / "r.json")]
+        )
+        assert result.exit_code == 2, (flags, result.output)
+
+
+def test_internal_value_error_is_not_a_validation_exit(tmp_path, monkeypatch):
+    import gwqap.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "solve_with_method", broken)
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    result = CliRunner().invoke(
+        main, ["solve", "--inst", str(path), "--method", "gw", "--out", str(tmp_path / "r.json")]
+    )
+    assert result.exit_code != 2
+    assert isinstance(result.exception, ValueError)

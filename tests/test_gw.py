@@ -245,6 +245,20 @@ class TestSolveGw:
         with pytest.raises(InvalidInit):
             solve_gw(GwProblem(src, tgt), init=bad)
 
+    def test_fgw_checks_init_like_gw(self):
+        rng = np.random.default_rng(0)
+        src, tgt = random_space(rng, 3), random_space(rng, 3)
+        problem = GwProblem(src, tgt)
+        # an all-ones plan: right shape, marginals off by 2
+        ones = Coupling(np.ones((3, 3)), src.mass, tgt.mass)
+        fgw = FgwProblem(problem, np.zeros((3, 3)), alpha=0.5)
+        with pytest.raises(InvalidInit):
+            solve_gw(problem, init=ones)
+        with pytest.raises(InvalidInit):
+            solve_fgw(fgw, init=ones)
+        sol = solve_fgw(fgw, init=problem.default_init())
+        assert max(marginal_violation(sol.coupling)) <= 1e-9
+
     def test_marginals_preserved(self):
         rng = np.random.default_rng(41)
         src, tgt = random_space(rng, 7), random_space(rng, 4)
