@@ -9,6 +9,7 @@ infeasible instance or an instance the generator could not draw
 from __future__ import annotations
 
 import sys
+import time
 
 import click
 
@@ -115,9 +116,11 @@ def solve(inst_path, method, trials, epsilon, alpha, ga_pop, ga_gens, seed, out)
     """Solve one instance with one method and write a JSON report."""
     inst, test_id, _ = _load_instance(inst_path)
     spec = _method_from_flags(method, trials, epsilon, alpha, ga_pop, ga_gens)
+    t0 = time.perf_counter()
     relaxed, binary, feasible, iterations, status, _ = solve_with_method(
         inst, spec, SeedPolicy(seed)
     )
+    runtime_s = time.perf_counter() - t0
     report = SolveReport(
         instance_id=test_id,
         method=spec.label(),
@@ -126,7 +129,7 @@ def solve(inst_path, method, trials, epsilon, alpha, ga_pop, ga_gens, seed, out)
         objective_binary=binary,
         feasible=feasible,
         gap_pct=None,
-        runtime_s=0.0,
+        runtime_s=runtime_s,
         iterations=iterations,
         seed=seed,
         status=status,
@@ -165,10 +168,12 @@ def bench(specs, methods, seed, fmt, workers, no_timing, out):
 @click.option("--kind", type=click.Choice(["epsilon", "alpha"]), required=True)
 @click.option("--inst", "inst_path", type=click.Path(exists=True), required=True)
 @click.option("--grid", required=True, help="Comma-separated values, e.g. 0.3,0.5,0.8.")
-@click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True)
-def sweep(kind, inst_path, grid, seed, out):
-    """Parameter sweep (EGW epsilon or FGW alpha) on the file's instance."""
+def sweep(kind, inst_path, grid, out):
+    """Parameter sweep (EGW epsilon or FGW alpha) on the file's instance.
+
+    EGW and FGW draw no random numbers; the rows carry the file's seed.
+    """
     inst, test_id, inst_seed = _load_instance(inst_path)
     values = [float(v) for v in grid.split(",")]
     spec = InstanceSpec(test_id, inst.n, inst.m, SeedPolicy(inst_seed))

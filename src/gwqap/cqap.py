@@ -26,7 +26,7 @@ from .errors import (
     NonPositiveExact,
 )
 from .gw import FgwProblem, GwProblem
-from .linear_ot import _highs, _highs_model, _highs_solution
+from .linear_ot import _highs, _highs_model, _highs_solution, _transport_constraints
 
 
 @dataclass(frozen=True)
@@ -208,21 +208,31 @@ def _nearest_assignment(inst: CqapInstance, shares: np.ndarray) -> np.ndarray:
     cost = np.concatenate(
         [(1.0 - 2.0 * shares).ravel(), np.full(m, 2.0 * n * m + 1.0)]
     )
-    A = sparse.vstack(
-        [
-            # capacity: sum_j d_j x_ij <= u_i
-            sparse.hstack(
-                [sparse.kron(sparse.eye(n), d[None, :]), sparse.csr_matrix((n, m))]
-            ),
-            # coverage: sum_i u_i x_ij + d_j z_j >= d_j
-            sparse.hstack([sparse.kron(u[None, :], sparse.eye(m)), sparse.diags(d)]),
-        ],
-        format="csc",
-    )
+    A = _assignment_constraints(u, d)
     lower = np.concatenate([np.full(n, -np.inf), d])
     upper = np.concatenate([u, np.full(m, np.inf)])
     x = _binary_program(cost, A, lower, upper)[: n * m]
     return np.rint(x).reshape(n, m).astype(np.int64)
+
+
+def _assignment_constraints(u: np.ndarray, d: np.ndarray) -> sparse.csc_matrix:
+    """CSC rows [capacity; coverage] over columns [x (n*m); z (m)].
+
+    Column i*m + j has the transportation LP's pattern (rows i and n + j)
+    with values d_j and u_i; column n*m + j holds d_j in row n + j.
+    """
+    n, m = u.size, d.size
+    T = _transport_constraints(n, m)
+    xz = np.column_stack([np.tile(d, n), np.repeat(u, m)]).ravel()
+    z = np.arange(m, dtype=T.indices.dtype)
+    return sparse.csc_matrix(
+        (
+            np.concatenate([xz, d]),
+            np.concatenate([T.indices, n + z]),
+            np.concatenate([T.indptr, T.indptr[-1] + 1 + z]),
+        ),
+        shape=(n + m, n * m + m),
+    )
 
 
 def _binary_program(cost, A, lower, upper) -> np.ndarray:

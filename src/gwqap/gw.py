@@ -36,7 +36,8 @@ each loss/gradient costs O(n^2 m + n m^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .core import (
     marginal_violation,
     product_coupling,
 )
-from .errors import AlphaOutOfRange, DimensionMismatch, InvalidInit
+from .errors import AlphaOutOfRange, DimensionMismatch, GwqapError, InvalidInit
 from .linear_ot import TransportLp, sinkhorn, sinkhorn_project, solve_exact_ot
 
 
@@ -76,6 +77,14 @@ class GwProblem:
 
     def default_init(self) -> Coupling:
         return product_coupling(self.source.mass, self.target.mass)
+
+    @cached_property
+    def _squared_structures(self) -> tuple[np.ndarray, np.ndarray]:
+        """C1**2 and C2**2, which every square-loss cross term uses."""
+        return (
+            self.source.structure.entries**2,
+            self.target.structure.entries**2,
+        )
 
 
 @dataclass(frozen=True)
@@ -114,6 +123,8 @@ class GwSolution:
     iterations: int
     trial_of_origin: int = -1
     objective_history: tuple[float, ...] = ()
+    # (trial, exception class name) of each multi-init trial that raised
+    failed_trials: tuple[tuple[int, str], ...] = ()
 
 
 def _check_plan(problem: GwProblem, plan) -> np.ndarray:
@@ -131,24 +142,16 @@ def _cross_term(problem: GwProblem, X):
     C2 = problem.target.structure.entries
     if problem.loss == "product":
         return C1 @ X @ C2.T
+    C1_sq, C2_sq = problem._squared_structures
     rX = X.sum(axis=1)
     cX = X.sum(axis=0)
-    return (
-        (C1**2) @ rX[:, None]
-        + (cX @ (C2**2).T)[None, :]
-        - 2.0 * C1 @ X @ C2.T
-    )
-
-
-def _bilinear(problem: GwProblem, X, Y):
-    # B(X, Y) = sum loss(C1[i,j], C2[k,l]) X[i,k] Y[j,l]
-    return float((_cross_term(problem, Y) * X).sum())
+    return C1_sq @ rX[:, None] + (cX @ C2_sq.T)[None, :] - 2.0 * C1 @ X @ C2.T
 
 
 def gw_loss(problem: GwProblem, plan) -> float:
     """GW loss of a plan, via the contraction decomposition."""
     p = _check_plan(problem, plan)
-    return _bilinear(problem, p, p)
+    return float((_cross_term(problem, p) * p).sum())
 
 
 def gw_gradient(problem: GwProblem, plan) -> np.ndarray:
@@ -179,13 +182,20 @@ def _fw_solve(
     init: Coupling | None,
     max_iter: int,
     tol: float,
+    model: TransportLp | None = None,
 ) -> tuple[Coupling, list[float], bool, int]:
     """Conditional gradient on alpha*(GW + concavity term) + (1-alpha)*<M, pi>.
 
     Starts from ``init`` (checked) or the default init. Each iteration
     linearizes at the current plan, finds the optimal polytope vertex by
     exact OT, and takes the closed-form quadratic line-search step clamped
-    to [0, 1].
+    to [0, 1]. ``model``, a ``TransportLp`` for the problem's marginals, is
+    reset and re-used; without one a fresh model is built.
+
+    The cross term E = E(pi) is linear in pi, so one contraction per step,
+    E(vertex), gives the gradient 2E, the curvature <E(vertex) - E, delta>
+    of the line search and, with E updated along the step, the GW loss
+    <E, pi>.
     """
     init = _check_init(problem, init)
     h = problem.source.mass
@@ -193,30 +203,35 @@ def _fw_solve(
     M = linear_cost
     mu = problem.concavity
 
-    def objective(p):
-        val = alpha * gw_loss(problem, p)
+    def objective(p, E):
+        val = alpha * float((E * p).sum())
         if mu:
             val += alpha * mu * float((p * (g.weights[None, :] - p)).sum())
         if alpha < 1.0:
             val += (1.0 - alpha) * float((M * p).sum())
         return val
 
-    lp = TransportLp(h, g)
+    if model is None:
+        model = TransportLp(h, g)
+    else:
+        model.reset()
     pi = init.plan.copy()
-    history = [objective(pi)]
+    E = _cross_term(problem, pi)
+    history = [objective(pi, E)]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        gw_grad = gw_gradient(problem, pi)
+        gw_grad = 2.0 * E
         if mu:
             gw_grad += mu * (g.weights[None, :] - 2.0 * pi)
         grad = alpha * gw_grad
         if alpha < 1.0:
             grad = grad + (1.0 - alpha) * M
-        vertex, _ = solve_exact_ot(grad, h, g, model=lp)
+        vertex, _ = solve_exact_ot(grad, h, g, model=model)
         delta = vertex.plan - pi
+        dE = _cross_term(problem, vertex.plan) - E
         # 1-D restriction: a t^2 + b t with the quadratic from the GW part
-        a = alpha * _bilinear(problem, delta, delta)
+        a = alpha * float((dE * delta).sum())
         if mu:
             a -= alpha * mu * float((delta * delta).sum())
         b = alpha * float((gw_grad * delta).sum())
@@ -227,7 +242,8 @@ def _fw_solve(
         else:
             t = 1.0 if b <= 0 else 0.0
         pi = pi + t * delta
-        f_new = objective(pi)
+        E = E + t * dE
+        f_new = objective(pi, E)
         history.append(f_new)
         f_prev = history[-2]
         denom = max(abs(f_prev), 1.0)
@@ -242,14 +258,18 @@ def solve_gw(
     init: Coupling | None = None,
     max_iter: int = 1000,
     tol: float = 1e-9,
+    *,
+    model: TransportLp | None = None,
 ) -> GwSolution:
     """Conditional-gradient GW solver; returns a stationary point.
 
     The objective is gw_loss plus the problem's concavity term. The default
-    initialization is the product coupling of the marginals.
+    initialization is the product coupling of the marginals. A
+    ``TransportLp`` of the problem's marginals passed as ``model`` is reset
+    and re-used for the exact-OT steps; the result is the same without it.
     """
     coupling, history, converged, iters = _fw_solve(
-        problem, None, 1.0, init, max_iter, tol
+        problem, None, 1.0, init, max_iter, tol, model
     )
     return GwSolution(
         coupling=coupling,
@@ -290,30 +310,28 @@ def solve_gw_multi_init(
     Random trial t draws Uniform(0,1) + jitter from its own derived RNG
     stream, projects onto the coupling polytope by alternating rescaling
     (tolerance delta), solves, and the lowest-objective solution wins.
-    Ties break on the earliest trial (default init first).
+    Ties break on the earliest trial (default init first). A trial that
+    raises a library error is skipped and listed in ``failed_trials``; any
+    other exception propagates. All starts share one transport model.
     """
     n, m = problem.shape
     h, g = problem.source.mass, problem.target.mass
 
-    best = solve_gw(problem, None, max_iter, tol)
+    model = TransportLp(h, g)
+    best = solve_gw(problem, None, max_iter, tol, model=model)
+    failed = []
     for t in range(1, config.trials + 1):
         rng = config.seed.substream(t).generator()
         raw = rng.uniform(0.0, 1.0, size=(n, m)) + config.jitter
         try:
             init = sinkhorn_project(raw, h, g, delta=config.delta)
-            sol = solve_gw(problem, init, max_iter, tol)
-        except Exception:  # noqa: BLE001 - a failed trial never aborts the sweep
+            sol = solve_gw(problem, init, max_iter, tol, model=model)
+        except GwqapError as exc:
+            failed.append((t, type(exc).__name__))
             continue
         if sol.objective < best.objective:
-            best = GwSolution(
-                coupling=sol.coupling,
-                objective=sol.objective,
-                converged=sol.converged,
-                iterations=sol.iterations,
-                trial_of_origin=t,
-                objective_history=sol.objective_history,
-            )
-    return best
+            best = replace(sol, trial_of_origin=t)
+    return replace(best, failed_trials=tuple(failed))
 
 
 def solve_entropic_gw(

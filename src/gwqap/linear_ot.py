@@ -79,6 +79,10 @@ class TransportLp:
     Frank-Wolfe produces, costs a fraction of cold solves. Every answer is
     a basic optimal plan. Without scipy's HiGHS bindings each solve is a
     cold ``linprog`` call.
+
+    A multi-init builds one model for all of its starts. Each Frank-Wolfe
+    solve calls ``reset`` first, so it runs the same LP sequence, bit for
+    bit, as it would on a fresh model.
     """
 
     def __init__(self, h: Histogram, g: Histogram):
@@ -87,6 +91,8 @@ class TransportLp:
         self._cols = np.flatnonzero(g.weights > 0)
         self._h = h.weights[self._rows]
         self._g = g.weights[self._cols]
+        # every atom carries mass (always so on the CQAP): no gather/scatter
+        self._full = self._rows.size == h.n and self._cols.size == g.n
         self._model = None
         if _highs is not None and self._rows.size > 1 and self._cols.size > 1:
             size = self._rows.size * self._cols.size
@@ -102,8 +108,13 @@ class TransportLp:
                 simplex_strategy=1,  # dual simplex, as linprog's highs-ds
             )
 
+    def reset(self):
+        """Drop the last basis, so the next solve starts cold."""
+        if self._model is not None:
+            self._model.clearSolver()
+
     def solve(self, cost: np.ndarray) -> np.ndarray:
-        sub = cost[np.ix_(self._rows, self._cols)]
+        sub = cost if self._full else cost[np.ix_(self._rows, self._cols)]
         if self._model is None:
             plan_sub = _transportation_lp(sub, self._h, self._g)
         else:
@@ -111,6 +122,8 @@ class TransportLp:
             plan_sub = _highs_solution(self._model, "transportation LP")
             plan_sub = plan_sub.reshape(sub.shape)
             np.clip(plan_sub, 0.0, None, out=plan_sub)
+        if self._full:
+            return plan_sub
         plan = np.zeros(self.shape)
         plan[np.ix_(self._rows, self._cols)] = plan_sub
         return plan
@@ -285,12 +298,16 @@ def sinkhorn_project(
     if np.any(G <= 0):
         raise ValueError("all entries of raw must be strictly positive")
     hw, gw = h.weights, g.weights
+    # the row sums of one sweep's stopping test scale the next sweep's rows
+    rows = G.sum(axis=1)
     for _ in range(max_sweeps):
-        G *= (hw / G.sum(axis=1))[:, None]
+        G *= (hw / rows)[:, None]
         G *= (gw / G.sum(axis=0))[None, :]
-        row_err = np.abs(G.sum(axis=1) - hw).max()
-        col_err = np.abs(G.sum(axis=0) - gw).max()
-        if row_err < delta and col_err < delta:
+        rows = G.sum(axis=1)
+        if (
+            np.abs(rows - hw).max() < delta
+            and np.abs(G.sum(axis=0) - gw).max() < delta
+        ):
             return Coupling(G, h, g)
     raise NoConvergence(
         f"projection did not reach delta={delta} in {max_sweeps} sweeps",

@@ -16,12 +16,14 @@ from gwqap import (
     instance_from_json,
     instance_to_json,
     parse_reports,
+    round_coupling,
     run_suite,
     solve_exact_ot,
     to_gw_problem,
 )
 from gwqap.bench import NAMED_SPECS, CSV_COLUMNS, solve_with_method
 from gwqap.errors import NonEmptyRequired, UnknownFormat, ValidationError
+from tests.test_gw import digest
 
 DIAMETER = np.sqrt(200.0)  # diagonal of the [0,10]^2 square
 
@@ -134,6 +136,35 @@ class TestRunSuite:
         reports = run_suite(specs, [MethodSpec("exact"), MethodSpec("gw")])
         assert calls == ["exact", "gw"]
         assert all(r.runtime_s > 0.0 for r in reports)
+
+
+# gw-multi (20 trials) on the seed-0 M instances, recorded with the
+# three-contraction Frank-Wolfe on one transport model per start: relaxed and
+# binary objectives, winning start's iterations, and digests of the exact
+# bytes of the coupling and the rounded assignment
+GW_MULTI_PINS = {
+    "M1": ("0x1.0d60d9caf5294p+15", "0x1.e912c3f19e261p+10", True, 4,
+           "609ba3dca447855f", "74d98808a15c55a0"),
+    "M2": ("0x1.85e379f6a5b72p+15", "0x1.9feb0d048be12p+11", False, 4,
+           "a891a745a1d10183", "f6be035a7c46060d"),
+    "M3": ("0x1.90b84c8928200p+15", "0x1.18a82e0ffe541p+11", True, 4,
+           "f16b61d00a6a670d", "c4c0861b88dc0c22"),
+    "M4": ("0x1.8eebc7611d568p+17", "0x1.2fbcee95b05efp+13", True, 8,
+           "e2484f91e73fbcd9", "3f7307793c065890"),
+}
+
+
+@pytest.mark.parametrize("sid", sorted(GW_MULTI_PINS))
+def test_gw_multi_pinned_on_m_instances(sid):
+    inst = generate_instance(InstanceSpec.named(sid, SeedPolicy(0)))
+    relaxed, binary, feasible, iterations, status, coupling = solve_with_method(
+        inst, MethodSpec("gw-multi", {"trials": 20}), SeedPolicy(0).substream(500)
+    )
+    assert status == "ok"
+    x = round_coupling(inst, coupling).x
+    got = (relaxed.hex(), binary.hex(), feasible, iterations,
+           digest(coupling.plan), digest(x))
+    assert got == GW_MULTI_PINS[sid]
 
 
 class TestMethodSpec:

@@ -254,3 +254,26 @@ def test_internal_value_error_is_not_a_validation_exit(tmp_path, monkeypatch):
     )
     assert result.exit_code != 2
     assert isinstance(result.exception, ValueError)
+
+
+def test_solve_report_times_the_solve(tmp_path):
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    report = tmp_path / "r.json"
+    result = CliRunner().invoke(
+        main, ["solve", "--inst", str(path), "--method", "gw", "--out", str(report)]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(report.read_text())["reports"][0]["runtime_s"] > 0
+
+
+def test_sweep_rejects_seed(tmp_path):
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--kind", "alpha", "--inst", str(path), "--grid", "0.0",
+         "--seed", "1", "--out", str(tmp_path / "s.csv")],
+    )
+    assert result.exit_code == 2
+    assert "--seed" in result.output

@@ -251,6 +251,29 @@ class TestRoundCoupling:
         monkeypatch.setattr(cqap, "_highs", None)
         assert np.array_equal(round_coupling(inst, plan).x, fast)
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1), (5, 7), (20, 20)])
+    def test_constraint_matrix_matches_kron_reference(self, n, m):
+        from scipy import sparse
+
+        from gwqap.cqap import _assignment_constraints
+
+        rng = np.random.default_rng(n * 100 + m)
+        u = rng.integers(1, 9, n).astype(np.float64)
+        d = rng.integers(1, 9, m).astype(np.float64)
+        ref = sparse.vstack(
+            [
+                sparse.hstack(
+                    [sparse.kron(sparse.eye(n), d[None, :]), sparse.csr_matrix((n, m))]
+                ),
+                sparse.hstack([sparse.kron(u[None, :], sparse.eye(m)), sparse.diags(d)]),
+            ],
+            format="csc",
+        )
+        A = _assignment_constraints(u, d)
+        assert A.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A, part), getattr(ref, part)), part
+
     def test_infeasible_instance_covers_what_capacity_allows(self):
         # task 1 (demand 3) fits no agent; task 0 still gets covered
         inst = make_instance([2, 1], [2, 3])

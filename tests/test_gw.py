@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,8 +21,9 @@ from gwqap import (
     solve_gw_multi_init,
     validate_histogram,
 )
+from gwqap import gw
 from gwqap.gw import FgwProblem, GwProblem, MultiInitConfig
-from gwqap.errors import AlphaOutOfRange, DimensionMismatch, InvalidInit
+from gwqap.errors import AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence
 
 
 def naive_loss(C1, C2, plan):
@@ -45,6 +48,18 @@ def random_space(rng, n, with_features=False):
 def random_plan(rng, h, g):
     raw = rng.uniform(0, 1, size=(h.n, g.n)) + 1e-6
     return sinkhorn_project(raw, h, g)
+
+
+def digest(a):
+    """Short fingerprint of an array's exact float64 bytes."""
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()[:16]
+
+
+def concave_product_problem(rng, n, m):
+    src, tgt = random_space(rng, n), random_space(rng, m)
+    rho = lambda a: np.abs(np.linalg.eigvalsh(a)).max()  # noqa: E731
+    mu = rho(src.structure.entries) * rho(tgt.structure.entries)
+    return GwProblem(src, tgt, loss="product", concavity=mu)
 
 
 class TestGwLoss:
@@ -236,6 +251,53 @@ class TestSolveGw:
         hist = sol.objective_history
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
+    # objective, iterations and plan digest of the square-loss solves below,
+    # recorded with the three-contraction Frank-Wolfe that recomputed C1**2
+    # and C2**2 on every cross term
+    SQUARE_PINS = {
+        (0, "default"): ("0x1.feeb42efd2fc1p+2", 5, "33d94b5bcf2262ee"),
+        (0, "random"): ("0x1.795889a850146p+2", 7, "c27735dda20ccfac"),
+        (1, "default"): ("0x1.b57ec6f0c643bp+2", 5, "ba7594caf60664db"),
+        (1, "random"): ("0x1.9cfb73c14e26dp+2", 3, "f28a2f8df14e9d4e"),
+    }
+
+    @pytest.mark.parametrize("seed", (0, 1))
+    def test_square_loss_output_pinned(self, seed):
+        rng = np.random.default_rng(seed)
+        src, tgt = random_space(rng, 6), random_space(rng, 5)
+        prob = GwProblem(src, tgt)
+        init = sinkhorn_project(rng.uniform(0, 1, size=(6, 5)) + 1e-6, src.mass, tgt.mass)
+        for name, start in (("default", None), ("random", init)):
+            sol = solve_gw(prob, start)
+            got = (sol.objective.hex(), sol.iterations, digest(sol.coupling.plan))
+            assert got == self.SQUARE_PINS[seed, name]
+
+    def test_squared_structures_computed_once(self):
+        rng = np.random.default_rng(1)
+        prob = GwProblem(random_space(rng, 4), random_space(rng, 3))
+        first = prob._squared_structures
+        assert prob._squared_structures is first
+        assert np.array_equal(first[0], prob.source.structure.entries**2)
+        assert np.array_equal(first[1], prob.target.structure.entries**2)
+
+    @pytest.mark.parametrize(
+        "concave, alpha", [(False, 1.0), (False, 0.5), (True, 1.0), (True, 0.4)]
+    )
+    def test_final_objective_matches_recomputation(self, concave, alpha):
+        # square loss, or product loss with its concavity term
+        rng = np.random.default_rng(41)
+        prob = (concave_product_problem(rng, 7, 6) if concave
+                else GwProblem(random_space(rng, 7), random_space(rng, 6)))
+        M = rng.uniform(0, 5, size=prob.shape)
+        init = random_plan(rng, prob.source.mass, prob.target.mass)
+        sol = solve_fgw(FgwProblem(prob, M, alpha), init=init)
+        pi = sol.coupling.plan
+        g = prob.target.mass.weights
+        gw_part = gw_loss(prob, pi) + prob.concavity * float((pi * (g - pi)).sum())
+        expect = alpha * gw_part + (1.0 - alpha) * float((M * pi).sum())
+        assert sol.iterations >= 2
+        assert sol.objective_history[-1] == pytest.approx(expect, rel=1e-12)
+
     def test_invalid_init(self):
         rng = np.random.default_rng(0)
         src, tgt = random_space(rng, 3), random_space(rng, 3)
@@ -300,6 +362,7 @@ class TestMultiInit:
         prob = GwProblem(space, space)
         sol = solve_gw_multi_init(prob, MultiInitConfig(trials=5, seed=SeedPolicy(1)))
         assert sol.objective <= 1e-8
+        assert sol.failed_trials == ()
 
     def test_dominates_every_trial(self):
         rng = np.random.default_rng(81)
@@ -315,6 +378,63 @@ class TestMultiInit:
             init = sinkhorn_project(raw, src.mass, tgt.mass, delta=config.delta)
             trial_objs.append(solve_gw(prob, init).objective)
         assert best.objective <= min(trial_objs) + 1e-15
+
+    @pytest.mark.parametrize("concave", (False, True))
+    def test_trials_match_fresh_solves_on_one_model(self, concave, monkeypatch):
+        rng = np.random.default_rng(83)
+        prob = (concave_product_problem(rng, 6, 5) if concave
+                else GwProblem(random_space(rng, 6), random_space(rng, 5)))
+        built, solves = [], []
+        lp_class, solve = gw.TransportLp, gw.solve_gw
+
+        class CountedLp(lp_class):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        def recorded(problem, init=None, *args, **kwargs):
+            sol = solve(problem, init, *args, **kwargs)
+            solves.append((init, kwargs.get("model"), sol))
+            return sol
+
+        monkeypatch.setattr(gw, "TransportLp", CountedLp)
+        monkeypatch.setattr(gw, "solve_gw", recorded)
+        gw.solve_gw_multi_init(prob, MultiInitConfig(trials=6, seed=SeedPolicy(4)))
+        assert len(built) == 1 and len(solves) == 7
+        for init, model, sol in solves:
+            assert model is built[0]
+            fresh = solve(prob, init)
+            assert np.array_equal(sol.coupling.plan, fresh.coupling.plan)
+            assert sol.objective == fresh.objective
+            assert sol.iterations == fresh.iterations
+
+    def test_failed_trial_is_recorded(self, monkeypatch):
+        rng = np.random.default_rng(85)
+        prob = GwProblem(random_space(rng, 5), random_space(rng, 4))
+        project, calls = gw.sinkhorn_project, []
+
+        def flaky(raw, h, g, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NoConvergence("projection stalled")
+            return project(raw, h, g, **kwargs)
+
+        monkeypatch.setattr(gw, "sinkhorn_project", flaky)
+        sol = solve_gw_multi_init(prob, MultiInitConfig(trials=4, seed=SeedPolicy(2)))
+        assert sol.failed_trials == ((2, "NoConvergence"),)
+        assert len(calls) == 4
+        assert sol.trial_of_origin != 2
+
+    def test_non_library_error_in_a_trial_propagates(self, monkeypatch):
+        rng = np.random.default_rng(87)
+        prob = GwProblem(random_space(rng, 4), random_space(rng, 4))
+
+        def broken(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(gw, "sinkhorn_project", broken)
+        with pytest.raises(ValueError):
+            solve_gw_multi_init(prob, MultiInitConfig(trials=2))
 
 
 class TestEntropicGw:

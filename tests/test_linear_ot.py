@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwqap import (
     gaussian_measure,
@@ -124,6 +125,32 @@ class TestTransportLp:
             coupling.plan, _transportation_lp(cost, h.weights, g.weights)
         )
 
+    def test_reset_model_matches_fresh_model(self):
+        rng = np.random.default_rng(9)
+        h, g = self._random(rng, 6, 7)
+        costs = [rng.uniform(0, 10, size=(6, 7)) for _ in range(8)]
+
+        def run(model):
+            return [model.solve(c) for c in costs]
+
+        fresh = run(TransportLp(h, g))
+        reused = TransportLp(h, g)
+        run(reused)
+        run(reused)  # leaves a warm basis behind
+        reused.reset()
+        for a, b in zip(run(reused), fresh):
+            assert np.array_equal(a, b)
+
+    def test_reset_is_a_no_op_on_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(linear_ot, "_highs", None)
+        rng = np.random.default_rng(10)
+        h, g = self._random(rng, 4, 3)
+        cost = rng.uniform(0, 10, size=(4, 3))
+        model = TransportLp(h, g)
+        first = model.solve(cost)
+        model.reset()
+        assert np.array_equal(model.solve(cost), first)
+
     def test_linprog_fallback(self, monkeypatch):
         rng = np.random.default_rng(8)
         h, g = self._random(rng, 4, 3)
@@ -204,6 +231,41 @@ class TestSinkhornProject:
         h = normalize_masses(rng.random(4) + 0.2)
         with pytest.raises(NoConvergence):
             sinkhorn_project(raw, h, h, delta=1e-12, max_sweeps=1)
+
+
+def _project_four_reductions(raw, h, g, delta, max_sweeps=10_000):
+    # the projection loop as first written: both marginal sums after every
+    # rescaling, both errors on every sweep
+    G = np.asarray(raw, dtype=np.float64).copy()
+    hw, gw = h.weights, g.weights
+    for _ in range(max_sweeps):
+        G *= (hw / G.sum(axis=1))[:, None]
+        G *= (gw / G.sum(axis=0))[None, :]
+        row_err = np.abs(G.sum(axis=1) - hw).max()
+        col_err = np.abs(G.sum(axis=0) - gw).max()
+        if row_err < delta and col_err < delta:
+            return G
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    delta=st.sampled_from([1e-6, 1e-9, 1e-12]),
+)
+def test_projection_bitwise_equals_four_reduction_loop(n, m, seed, delta):
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0, 1, size=(n, m)) + 1e-6
+    h = normalize_masses(rng.random(n) + 0.2)
+    g = normalize_masses(rng.random(m) + 0.2)
+    ref = _project_four_reductions(raw, h, g, delta)
+    if ref is None:
+        with pytest.raises(NoConvergence):
+            sinkhorn_project(raw, h, g, delta=delta)
+    else:
+        assert np.array_equal(sinkhorn_project(raw, h, g, delta=delta).plan, ref)
 
 
 class TestW2Gaussian:
