@@ -12,19 +12,20 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import SeedPolicy, SymCostMatrix
+from .core import Coupling, SeedPolicy, SymCostMatrix
 from .cqap import (
     CqapInstance,
     coupling_objective,
     cqap_objective,
     check_feasible,
-    enum_node_estimate,
     gap_percent,
     round_coupling,
     solve_exact_enum,
@@ -76,6 +77,8 @@ CSV_COLUMNS = [
 
 _CAP_LOW, _CAP_HIGH = 1, 6  # inclusive integer range for capacities/demands
 _FEASIBILITY_PRECHECK_CELLS = 20  # oracle pre-check limit (n*m)
+# the suite runs the oracle when its search tree has at most this many leaves
+_ORACLE_LEAVES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,17 @@ class SolveReport:
     iterations: int
     seed: int
     status: str = "ok"
+
+    @classmethod
+    def of(
+        cls, instance_id, method: MethodSpec, res: MethodResult, gap_pct, runtime_s, seed
+    ):
+        """The report row of one method's result on one instance."""
+        return cls(
+            instance_id, method.label(), dict(method.params), res.relaxed,
+            res.binary, res.feasible, gap_pct, runtime_s, res.iterations, seed,
+            res.status,
+        )
 
 
 def _pairwise(points):
@@ -257,30 +271,40 @@ def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
     return inst, doc.get("test_id", "custom"), int(doc.get("seed", 0))
 
 
-def solve_with_method(
-    inst: CqapInstance,
-    method: MethodSpec,
-    seed: SeedPolicy,
-    node_cap: int = 100_000_000,
-):
-    """Run one method on one instance.
+class MethodResult(NamedTuple):
+    """One method's outcome; ``coupling`` is set by the (F/E)GW methods."""
 
-    Returns (objective_relaxed, objective_binary, feasible, iterations,
-    status, extra) where extra carries the solver coupling when one exists.
-    """
+    relaxed: float | None
+    binary: float | None
+    feasible: bool | None
+    iterations: int
+    status: str
+    coupling: Coupling | None = None
+
+
+def _oracle_fits(inst: CqapInstance) -> bool:
+    """Whether the oracle's one-agent-per-task search tree, with
+    prod_j #{i : u_i >= d_j} leaves, is small enough for the suite."""
+    holders = (inst.capacity[:, None] >= inst.demand[None, :]).sum(axis=0)
+    return math.prod(holders.tolist()) <= _ORACLE_LEAVES
+
+
+def solve_with_method(
+    inst: CqapInstance, method: MethodSpec, seed: SeedPolicy
+) -> MethodResult:
+    """Run one method on one instance."""
     name = method.name
     p = {**_DEFAULTS.get(name, {}), **method.params}
     if name == "exact":
-        if enum_node_estimate(inst) > node_cap:
-            return None, None, None, 0, "SkippedTooLarge", None
-        x, obj, proven = solve_exact_enum(inst, node_cap=node_cap)
-        status = "ok" if proven else "NotProven"
-        return obj, obj, True, 0, status, None
+        if not _oracle_fits(inst):
+            return MethodResult(None, None, None, 0, "SkippedTooLarge")
+        _, obj, proven = solve_exact_enum(inst)
+        return MethodResult(obj, obj, True, 0, "ok" if proven else "NotProven")
 
     if name == "ga":
         x, obj, history = solve_ga(inst, GaConfig(**p, seed=seed))
         ok, _ = check_feasible(inst, x)
-        return obj, obj, ok, len(history) - 1, "ok", None
+        return MethodResult(obj, obj, ok, len(history) - 1, "ok")
 
     problem = to_gw_problem(inst)
     if name == "gw":
@@ -297,13 +321,12 @@ def solve_with_method(
     ok, _ = check_feasible(inst, rounded)
     binary = cqap_objective(inst, rounded)
     status = "ok" if sol.converged else "NoConvergence"
-    return relaxed, binary, ok, sol.iterations, status, sol.coupling
+    return MethodResult(relaxed, binary, ok, sol.iterations, status, sol.coupling)
 
 
 def run_suite(
     specs: list[InstanceSpec],
     methods: list[MethodSpec],
-    node_cap: int = 100_000_000,
     workers: int = 1,
     measure_time: bool = True,
 ) -> list[SolveReport]:
@@ -317,22 +340,22 @@ def run_suite(
     if not specs or not methods:
         raise NonEmptyRequired("specs and methods must both be non-empty")
     instances = [(spec, generate_instance(spec)) for spec in specs]
-    return _solve_cells(instances, methods, node_cap, workers, measure_time)
+    return _solve_cells(instances, methods, workers, measure_time)
 
 
-def _proven_optimum(inst: CqapInstance, node_cap: int) -> float | None:
-    if enum_node_estimate(inst) > node_cap:
+def _proven_optimum(inst: CqapInstance) -> float | None:
+    if not _oracle_fits(inst):
         return None
     try:
-        _, obj, proven = solve_exact_enum(inst, node_cap=node_cap)
+        _, obj, proven = solve_exact_enum(inst)
     except Infeasible:
         return None
     return obj if proven else None
 
 
-def _solve_cells(instances, methods, node_cap, workers, measure_time):
+def _solve_cells(instances, methods, workers, measure_time):
     # one oracle run per instance, reused for every method's gap
-    oracle = [_proven_optimum(inst, node_cap) for _, inst in instances]
+    oracle = [_proven_optimum(inst) for _, inst in instances]
     cells = [
         (idx, spec, inst, method)
         for idx, (spec, inst) in enumerate(instances)
@@ -341,25 +364,20 @@ def _solve_cells(instances, methods, node_cap, workers, measure_time):
 
     def run_cell(cell):
         idx, spec, inst, method = cell
-        row = (spec.test_id, method.label(), dict(method.params))
         t0 = time.perf_counter()
         try:
-            relaxed, binary, feasible, iterations, status, _ = solve_with_method(
-                inst, method, spec.seed.substream(_method_stream(method)), node_cap
+            res = solve_with_method(
+                inst, method, spec.seed.substream(_method_stream(method))
             )
+            elapsed = time.perf_counter() - t0 if measure_time else 0.0
         except Exception as exc:  # noqa: BLE001 - cell failures are recorded
             kind = "Infeasible" if isinstance(exc, Infeasible) else "error"
-            return SolveReport(
-                *row, None, None, None, None, 0.0, 0, spec.seed.master_seed,
-                status=f"{kind}: {exc}",
-            )
-        elapsed = time.perf_counter() - t0 if measure_time else 0.0
+            res, elapsed = MethodResult(None, None, None, 0, f"{kind}: {exc}"), 0.0
         gap = None
-        if oracle[idx] is not None and binary is not None and feasible:
-            gap = gap_percent(binary, oracle[idx])
-        return SolveReport(
-            *row, relaxed, binary, feasible, gap, elapsed, iterations,
-            spec.seed.master_seed, status=status,
+        if oracle[idx] is not None and res.binary is not None and res.feasible:
+            gap = gap_percent(res.binary, oracle[idx])
+        return SolveReport.of(
+            spec.test_id, method, res, gap, elapsed, spec.seed.master_seed
         )
 
     if workers <= 1:
@@ -378,7 +396,6 @@ def epsilon_sweep(
     spec: InstanceSpec,
     inst: CqapInstance,
     epsilons: list[float],
-    node_cap: int = 100_000_000,
     measure_time: bool = True,
 ) -> list[SolveReport]:
     """Entropic-GW regularization sweep on ``inst``; ``spec`` names the rows
@@ -390,14 +407,13 @@ def epsilon_sweep(
     if len(set(epsilons)) != len(epsilons):
         raise ValidationError("duplicate epsilon values in grid")
     methods = [MethodSpec("egw", {"epsilon": e}) for e in epsilons]
-    return _solve_cells([(spec, inst)], methods, node_cap, 1, measure_time)
+    return _solve_cells([(spec, inst)], methods, 1, measure_time)
 
 
 def alpha_sweep(
     spec: InstanceSpec,
     inst: CqapInstance,
     alphas: list[float],
-    node_cap: int = 100_000_000,
     measure_time: bool = True,
 ) -> list[SolveReport]:
     """Fused-GW trade-off sweep on ``inst``; ``spec`` names the rows and
@@ -409,7 +425,7 @@ def alpha_sweep(
     if len(set(alphas)) != len(alphas):
         raise ValidationError("duplicate alpha values in grid")
     methods = [MethodSpec("fgw", {"alpha": a}) for a in alphas]
-    return _solve_cells([(spec, inst)], methods, node_cap, 1, measure_time)
+    return _solve_cells([(spec, inst)], methods, 1, measure_time)
 
 
 def _fmt(value) -> str:

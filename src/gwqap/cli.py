@@ -117,27 +117,15 @@ def solve(inst_path, method, trials, epsilon, alpha, ga_pop, ga_gens, seed, out)
     inst, test_id, _ = _load_instance(inst_path)
     spec = _method_from_flags(method, trials, epsilon, alpha, ga_pop, ga_gens)
     t0 = time.perf_counter()
-    relaxed, binary, feasible, iterations, status, _ = solve_with_method(
-        inst, spec, SeedPolicy(seed)
-    )
+    res = solve_with_method(inst, spec, SeedPolicy(seed))
     runtime_s = time.perf_counter() - t0
-    report = SolveReport(
-        instance_id=test_id,
-        method=spec.label(),
-        params=dict(spec.params),
-        objective_relaxed=relaxed,
-        objective_binary=binary,
-        feasible=feasible,
-        gap_pct=None,
-        runtime_s=runtime_s,
-        iterations=iterations,
-        seed=seed,
-        status=status,
-    )
+    report = SolveReport.of(test_id, spec, res, None, runtime_s, seed)
     with open(out, "wb") as fh:
         fh.write(emit_report([report], "json"))
-    click.echo(f"{spec.label()}: relaxed={relaxed} binary={binary} status={status}")
-    if status == "NoConvergence":
+    click.echo(
+        f"{spec.label()}: relaxed={res.relaxed} binary={res.binary} status={res.status}"
+    )
+    if res.status == "NoConvergence":
         sys.exit(EXIT_NO_CONVERGENCE)
 
 
@@ -188,12 +176,10 @@ def sweep(kind, inst_path, grid, out):
 @click.option("--inst", "inst_path", type=click.Path(exists=True), required=True)
 @click.option("--node-cap", type=int, default=100_000_000)
 def oracle(inst_path, node_cap):
-    """Exact enumeration oracle for one instance."""
+    """Exact branch-and-bound oracle for one instance, any size; exits 3
+    when --node-cap nodes did not prove the optimum."""
     inst, _, _ = _load_instance(inst_path)
-    try:
-        x, obj, proven = solve_exact_enum(inst, node_cap=node_cap)
-    except ValueError as exc:  # the oracle refuses instances with n > 25
-        _fail(EXIT_VALIDATION, exc)
+    x, obj, proven = solve_exact_enum(inst, node_cap=node_cap)
     click.echo(f"objective={obj!r} proven={proven}")
     for row in x.x:
         click.echo(" ".join(str(int(v)) for v in row))

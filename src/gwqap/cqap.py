@@ -11,18 +11,18 @@ coverage (sum_i u_i x_ij >= d_j) over binary x.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .core import Coupling, MmSpace, SymCostMatrix, normalize_masses
+from .core import Coupling, MmSpace, SymCostMatrix, normalize_masses, validate_sym_cost
 from .errors import (
     AlphaOutOfRange,
     DimensionMismatch,
     Infeasible,
+    NegativeWeight,
     NonPositiveExact,
 )
 from .gw import FgwProblem, GwProblem
@@ -49,12 +49,20 @@ class CqapInstance:
 
     def __post_init__(self):
         n, m = self.capacity.shape[0], self.demand.shape[0]
+        F, D, C = self.flow.entries, self.distance.entries, self.linear_cost
+        # square and symmetric, as the objective's symmetric form assumes
+        validate_sym_cost(F)
+        validate_sym_cost(D)
         if self.flow.n != n or self.distance.n != m:
             raise DimensionMismatch("flow/distance sizes disagree with u/d")
-        if self.linear_cost.shape != (n, m):
+        if C.shape != (n, m):
             raise DimensionMismatch("linear cost must be n x m")
         if np.any(self.capacity < 1) or np.any(self.demand < 1):
             raise DimensionMismatch("capacities and demands must be >= 1")
+        # the exact oracle prunes on partial costs, a bound only if none is < 0
+        for name, a in (("flow", F), ("distance", D), ("linear cost", C)):
+            if np.any(a < 0):
+                raise NegativeWeight(f"{name} has a negative entry")
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,10 @@ class AssignmentMatrix:
 
 def cqap_objective(inst: CqapInstance, assignment: AssignmentMatrix) -> float:
     """Exact quadratic-plus-linear value of a binary assignment."""
-    x = np.asarray(assignment.x, dtype=np.float64)
+    return _objective(inst, np.asarray(assignment.x, dtype=np.float64))
+
+
+def _objective(inst: CqapInstance, x: np.ndarray) -> float:
     if x.shape != (inst.n, inst.m):
         raise DimensionMismatch(f"x is {x.shape}, instance is ({inst.n}, {inst.m})")
     F = inst.flow.entries
@@ -160,14 +171,7 @@ def mass_scale(inst: CqapInstance) -> float:
 
 def coupling_objective(inst: CqapInstance, plan: Coupling) -> float:
     """Relaxed CQAP value of a coupling, evaluated on X = S * plan."""
-    if plan.plan.shape != (inst.n, inst.m):
-        raise DimensionMismatch("plan shape does not match instance")
-    X = mass_scale(inst) * plan.plan
-    F = inst.flow.entries
-    D = inst.distance.entries
-    quad = float((X * (F @ X @ D.T)).sum())
-    lin = float((inst.linear_cost * X).sum())
-    return quad + lin
+    return _objective(inst, mass_scale(inst) * plan.plan)
 
 
 def round_coupling(inst: CqapInstance, plan: Coupling) -> AssignmentMatrix:
@@ -337,105 +341,68 @@ def _reassign(x, G, load, F, D, d, j, k):
 def solve_exact_enum(
     inst: CqapInstance, node_cap: int = 100_000_000
 ) -> tuple[AssignmentMatrix, float, bool]:
-    """Exhaustive pruned DFS over binary assignments (the exact oracle).
+    """Exact oracle: depth-first branch and bound with one agent per task.
 
-    Searches column by column over facility subsets, pruning on capacity,
-    uncoverable demand, and the partial objective (all cost terms are
-    nonnegative, so the value of the decided columns is a valid lower
-    bound). Returns (best x, objective, proven); proven is False when the
-    node cap interrupted the search. Raises Infeasible when no assignment
-    can satisfy the constraints.
+    A task never needs two agents: the capacity row makes every agent on
+    task j hold d_j by itself, and all costs are nonnegative, so dropping
+    the extra agents keeps an assignment feasible and never raises its
+    cost. The search gives the tasks, in index order, each to an agent
+    whose residual capacity holds the demand, in index order, and prunes on
+    the partial objective (a lower bound, since every cost term is
+    nonnegative; ``CqapInstance`` checks that). Returns (best x, objective,
+    proven); proven is False when the node cap interrupted the search.
+    Raises Infeasible when no assignment can satisfy the constraints.
     """
     n, m = inst.n, inst.m
-    if n > 25:
-        raise ValueError("oracle enumerates 2^n facility subsets per task; n > 25 unsupported")
-    u = inst.capacity
     d = inst.demand
     F = inst.flow.entries
     D = inst.distance.entries
-    C = inst.linear_cost
-
-    # per-column candidate subsets: facility sets covering d_j by Eq-style
-    # joint capacity, enumerated in fixed bitmask order for determinism
-    subsets = []
-    for j in range(m):
-        opts = []
-        for mask in range(1 << n):
-            members = [i for i in range(n) if mask >> i & 1]
-            if sum(u[i] for i in members) >= d[j]:
-                opts.append(members)
-        subsets.append(opts)
-        if not opts:
-            raise Infeasible(f"no facility subset can cover demand of task {j}")
-
+    short = np.flatnonzero(d > inst.capacity.max())
+    if short.size:
+        raise Infeasible(f"no agent can hold the demand of task {short[0]}")
+    # cost of task j's agent alone; pairs with earlier tasks are added below
+    own = inst.linear_cost + np.diag(F)[:, None] * np.diag(D)[None, :]
+    agent = np.zeros(m, dtype=np.int64)
+    residual = inst.capacity.copy()
     best_val = np.inf
-    best_x = None
-    x = np.zeros((n, m), dtype=np.int64)
-    load = np.zeros(n, dtype=np.int64)
+    best = None
     nodes = 0
-    capped = False
-
-    def partial_cost(j, members):
-        # cost added by assigning column j given columns < j are fixed
-        val = sum(C[i, j] for i in members)
-        for i in members:
-            # quadratic terms within column j and against earlier columns
-            for k in members:
-                val += F[i, k] * D[j, j]
-            for l in range(j):
-                for k in np.flatnonzero(x[:, l]):
-                    val += 2.0 * F[i, k] * D[j, l]
-        return val
 
     def dfs(j, value):
-        nonlocal best_val, best_x, nodes, capped
-        if capped:
-            return
+        # False once the node cap is hit
+        nonlocal best_val, best, nodes
         nodes += 1
         if nodes > node_cap:
-            capped = True
-            return
+            return False
         if j == m:
             if value < best_val:
-                best_val = value
-                best_x = x.copy()
-            return
-        for members in subsets[j]:
-            add_load = d[j]
-            ok = all(load[i] + add_load <= u[i] for i in members)
-            if not ok:
+                best_val, best = value, agent.copy()
+            return True
+        added = own[:, j] + 2.0 * (F[:, agent[:j]] @ D[j, :j])
+        for i in np.flatnonzero(residual >= d[j]):
+            if value + added[i] >= best_val:
                 continue
-            added = partial_cost(j, members)
-            if value + added >= best_val:
-                continue
-            for i in members:
-                x[i, j] = 1
-                load[i] += add_load
-            dfs(j + 1, value + added)
-            for i in members:
-                x[i, j] = 0
-                load[i] -= add_load
-        return
+            agent[j] = i
+            residual[i] -= d[j]
+            searched = dfs(j + 1, value + added[i])
+            residual[i] += d[j]
+            if not searched:
+                return False
+        return True
 
-    dfs(0, 0.0)
-    if best_x is None:
-        if capped:
+    proven = dfs(0, 0.0)
+    if best is None:
+        if not proven:
             raise Infeasible(
                 "node cap hit before any feasible assignment was found"
             )
         raise Infeasible("no assignment satisfies capacity and demand")
-    best = AssignmentMatrix(best_x)
+    x = np.zeros((n, m), dtype=np.int64)
+    x[best, np.arange(m)] = 1
+    result = AssignmentMatrix(x)
     # re-evaluate through the canonical objective so the reported value is
     # bitwise comparable with any other evaluation of the same assignment
-    return best, cqap_objective(inst, best), not capped
-
-
-def enum_node_estimate(inst: CqapInstance) -> float:
-    """Upper estimate of oracle search size, used by the bench skip policy."""
-    exponent = inst.n * inst.m
-    if exponent > 1023:
-        return math.inf
-    return 2.0**exponent
+    return result, cqap_objective(inst, result), proven
 
 
 def gap_percent(approx: float, exact: float) -> float:

@@ -183,7 +183,7 @@ def _fw_solve(
     max_iter: int,
     tol: float,
     model: TransportLp | None = None,
-) -> tuple[Coupling, list[float], bool, int]:
+) -> GwSolution:
     """Conditional gradient on alpha*(GW + concavity term) + (1-alpha)*<M, pi>.
 
     Starts from ``init`` (checked) or the default init. Each iteration
@@ -250,7 +250,13 @@ def _fw_solve(
         if abs(f_prev - f_new) / denom < tol:
             converged = True
             break
-    return Coupling(pi, h, g), history, converged, iterations
+    return GwSolution(
+        coupling=Coupling(pi, h, g),
+        objective=history[-1],
+        converged=converged,
+        iterations=iterations,
+        objective_history=tuple(history),
+    )
 
 
 def solve_gw(
@@ -268,16 +274,7 @@ def solve_gw(
     ``TransportLp`` of the problem's marginals passed as ``model`` is reset
     and re-used for the exact-OT steps; the result is the same without it.
     """
-    coupling, history, converged, iters = _fw_solve(
-        problem, None, 1.0, init, max_iter, tol, model
-    )
-    return GwSolution(
-        coupling=coupling,
-        objective=history[-1],
-        converged=converged,
-        iterations=iters,
-        objective_history=tuple(history),
-    )
+    return _fw_solve(problem, None, 1.0, init, max_iter, tol, model)
 
 
 def solve_fgw(
@@ -287,15 +284,8 @@ def solve_fgw(
     tol: float = 1e-9,
 ) -> GwSolution:
     """Fused GW: conditional gradient on the alpha-blended objective."""
-    coupling, history, converged, iters = _fw_solve(
+    return _fw_solve(
         problem.gw, problem.feature_cost, problem.alpha, init, max_iter, tol
-    )
-    return GwSolution(
-        coupling=coupling,
-        objective=history[-1],
-        converged=converged,
-        iterations=iters,
-        objective_history=tuple(history),
     )
 
 

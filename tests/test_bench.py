@@ -96,11 +96,19 @@ class TestRunSuite:
         with pytest.raises(NonEmptyRequired):
             run_suite([InstanceSpec.named("S1", SeedPolicy(0))], [])
 
-    def test_exact_skips_above_node_cap(self):
+    def test_exact_skips_above_leaf_bound(self):
         specs = [InstanceSpec.named("M4", SeedPolicy(0))]
         reports = run_suite(specs, [MethodSpec("exact")], measure_time=False)
         assert reports[0].status == "SkippedTooLarge"
         assert reports[0].gap_pct is None
+
+    def test_exact_proves_s3(self):
+        specs = [InstanceSpec.named("S3", SeedPolicy(2))]
+        exact, gw = run_suite(
+            specs, [MethodSpec("exact"), MethodSpec("gw")], measure_time=False
+        )
+        assert exact.status == "ok" and exact.gap_pct == 0.0
+        assert gw.gap_pct is not None and gw.gap_pct >= -1e-9
 
     def test_gap_recomputable_from_row(self):
         specs = [InstanceSpec.named("S2", SeedPolicy(9))]
@@ -127,9 +135,9 @@ class TestRunSuite:
         calls = []
         solve = bench.solve_with_method
 
-        def counting(inst, method, seed, node_cap):
+        def counting(inst, method, seed):
             calls.append(method.name)
-            return solve(inst, method, seed, node_cap)
+            return solve(inst, method, seed)
 
         monkeypatch.setattr(bench, "solve_with_method", counting)
         specs = [InstanceSpec.named("S1", SeedPolicy(3))]

@@ -3,6 +3,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from gwqap.bench import CSV_COLUMNS, instance_to_json
@@ -277,3 +278,45 @@ def test_sweep_rejects_seed(tmp_path):
     )
     assert result.exit_code == 2
     assert "--seed" in result.output
+
+
+def _tampered_file(tmp_path, kind):
+    """The hand-made instance with an asymmetric flow or a negative distance."""
+    doc = json.loads(instance_to_json(_hand_made_3x3()))
+    if kind == "asymmetric":
+        doc["flow"][0][2] += 1.0
+    else:
+        doc["distance"] = (np.asarray(doc["distance"]) - 3.0).tolist()
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["asymmetric", "negative"])
+@pytest.mark.parametrize("command", ["solve", "oracle", "sweep"])
+def test_invalid_structure_file_exit_code(tmp_path, kind, command):
+    path = str(_tampered_file(tmp_path, kind))
+    out = str(tmp_path / "out")
+    args = {
+        "solve": ["solve", "--inst", path, "--method", "gw", "--out", out],
+        "oracle": ["oracle", "--inst", path],
+        "sweep": ["sweep", "--kind", "alpha", "--inst", path, "--grid", "0.5", "--out", out],
+    }[command]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert ("symmetric" if kind == "asymmetric" else "negative") in result.output
+
+
+def test_oracle_runs_above_25_agents(tmp_path):
+    runner = CliRunner()
+    path = tmp_path / "wide.json"
+    result = runner.invoke(
+        main, ["gen", "--agents", "26", "--tasks", "3", "--seed", "0", "--out", str(path)]
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["oracle", "--inst", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "proven=True" in result.output
+    result = runner.invoke(main, ["oracle", "--inst", str(path), "--node-cap", "5"])
+    assert result.exit_code == 3, result.output
+    assert "proven=False" in result.output

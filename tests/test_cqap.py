@@ -26,8 +26,26 @@ from gwqap import (
     validate_histogram,
 )
 from gwqap.cqap import AssignmentMatrix, CqapInstance, mass_scale
-from gwqap.errors import AlphaOutOfRange, Infeasible, NonPositiveExact
+from gwqap.errors import (
+    AlphaOutOfRange,
+    Infeasible,
+    NegativeWeight,
+    NonPositiveExact,
+    ValidationError,
+)
 from gwqap.gw import GwProblem, MultiInitConfig
+from tests.test_gw import digest
+
+
+# the 2^n-subset enumeration oracle's (objective, x digest, proven), which
+# the single-agent search must reproduce bit for bit
+ORACLE_PINS = {
+    ("S2", 0): ("0x1.49347105f5856p+8", "cf0c934fcc50045f", True),
+    ("S2", 1): ("0x1.3f72cc820e556p+7", "97f6b89a59dd935e", True),
+    ("S2", 2): ("0x1.d177a9eb63de8p+7", "97f6b89a59dd935e", True),
+    ("S3", 2): ("0x1.42ba758cd6a73p+9", "7eb4edb1f2c5988c", True),
+    ("S4", 3): ("0x1.4e2c0ec6e0574p+7", "14f353a98a62b96b", True),
+}
 
 
 def make_instance(capacity, demand, flow=None, distance=None, linear=None):
@@ -308,6 +326,27 @@ class TestSolveExactEnum:
         inst = generate_instance(InstanceSpec("S2", 4, 4, SeedPolicy(3)))
         _, _, proven = solve_exact_enum(inst, node_cap=10)
         assert not proven
+
+    @pytest.mark.parametrize("sid,seed", sorted(ORACLE_PINS))
+    def test_pinned_to_subset_enumeration(self, sid, seed):
+        inst = generate_instance(InstanceSpec.named(sid, SeedPolicy(seed)))
+        x, obj, proven = solve_exact_enum(inst)
+        assert (obj.hex(), digest(x.x), proven) == ORACLE_PINS[sid, seed]
+
+
+class TestInstanceValidation:
+    def test_asymmetric_structure_rejected(self):
+        bumped = [[0.0, 1.0, 4.0], [1.0, 0.0, 2.0], [4.0, 2.0, 0.0]]
+        bumped[0][2] += 1.0
+        for kw in ({"flow": bumped}, {"distance": bumped}):
+            with pytest.raises(ValidationError, match="symmetric"):
+                make_instance([2, 2, 2], [1, 1, 1], **kw)
+
+    def test_negative_entries_rejected(self):
+        minus = -np.eye(3)
+        for kw in ({"flow": minus}, {"distance": minus}, {"linear": minus}):
+            with pytest.raises(NegativeWeight):
+                make_instance([2, 2, 2], [1, 1, 1], **kw)
 
 
 class TestGapPercent:
