@@ -61,21 +61,8 @@ NAMED_SPECS = {
     "L5": (100, 100),
 }
 
-CSV_COLUMNS = [
-    "instance_id",
-    "method",
-    "params",
-    "objective_relaxed",
-    "objective_binary",
-    "feasible",
-    "gap_pct",
-    "runtime_s",
-    "iterations",
-    "seed",
-    "status",
-]
-
 _CAP_LOW, _CAP_HIGH = 1, 6  # inclusive integer range for capacities/demands
+_GENERATION_ATTEMPTS = 100  # demand draws before generation fails
 _FEASIBILITY_PRECHECK_CELLS = 20  # oracle pre-check limit (n*m)
 # the suite runs the oracle when its search tree has at most this many leaves
 _ORACLE_LEAVES = 1_000_000
@@ -145,8 +132,11 @@ class MethodSpec:
                 _CONFIGS[self.name](**self.params)
             except ValueError as exc:
                 raise ValidationError(f"method {self.name!r}: {exc}") from exc
-        if self.name == "egw" and not self.params.get("epsilon", 1.0) > 0:
+        p = {**_DEFAULTS.get(self.name, {}), **self.params}
+        if not p.get("epsilon", 1.0) > 0:
             raise ValidationError("epsilon must be positive")
+        if not 0.0 <= p.get("alpha", 0.0) <= 1.0:
+            raise ValidationError("alpha must lie in [0, 1]")
 
     def label(self) -> str:
         return _LABELS[self.name].format(**{**_DEFAULTS.get(self.name, {}), **self.params})
@@ -178,18 +168,22 @@ class SolveReport:
         )
 
 
+CSV_COLUMNS = [f.name for f in fields(SolveReport)]
+
+
 def _pairwise(points):
     diff = points[:, None, :] - points[None, :, :]
     return np.sqrt((diff**2).sum(axis=-1))
 
 
-def generate_instance(spec: InstanceSpec, max_attempts: int = 100) -> CqapInstance:
+def generate_instance(spec: InstanceSpec) -> CqapInstance:
     """Draw a random CQAP instance fully determined by the spec seed.
 
     Positions are Uniform([0,10]^2); capacities and demands are uniform
-    integers in {1..6}. Demands are redrawn (same stream) until the instance
-    is feasible: verified by the exact oracle for small instances, by the
-    total-capacity heuristic for large ones.
+    integers in {1..6}. Demands are redrawn (same stream, at most
+    _GENERATION_ATTEMPTS draws) until the instance is feasible: verified by
+    the exact oracle for small instances, by the total-capacity heuristic
+    for large ones.
     """
     rng = spec.seed.generator()
     n, m = spec.n_agents, spec.n_tasks
@@ -203,7 +197,7 @@ def generate_instance(spec: InstanceSpec, max_attempts: int = 100) -> CqapInstan
         ((agent_pos[:, None, :] - task_pos[None, :, :]) ** 2).sum(axis=-1)
     )
 
-    for _ in range(max_attempts):
+    for _ in range(_GENERATION_ATTEMPTS):
         demand = rng.integers(_CAP_LOW, _CAP_HIGH + 1, size=m)
         inst = CqapInstance(
             agent_pos=agent_pos,
@@ -217,7 +211,7 @@ def generate_instance(spec: InstanceSpec, max_attempts: int = 100) -> CqapInstan
         if _instance_feasible(inst):
             return inst
     raise GenerationFailed(
-        f"no feasible demand vector found in {max_attempts} attempts"
+        f"no feasible demand vector found in {_GENERATION_ATTEMPTS} attempts"
     )
 
 
@@ -226,7 +220,7 @@ def _instance_feasible(inst: CqapInstance) -> bool:
         return False
     if inst.n * inst.m <= _FEASIBILITY_PRECHECK_CELLS:
         try:
-            solve_exact_enum(inst, node_cap=1_000_000)
+            solve_exact_enum(inst)
         except Infeasible:
             return False
     return True
@@ -343,27 +337,8 @@ def run_suite(
     return _solve_cells(instances, methods, workers, measure_time)
 
 
-def _proven_optimum(inst: CqapInstance) -> float | None:
-    if not _oracle_fits(inst):
-        return None
-    try:
-        _, obj, proven = solve_exact_enum(inst)
-    except Infeasible:
-        return None
-    return obj if proven else None
-
-
 def _solve_cells(instances, methods, workers, measure_time):
-    # one oracle run per instance, reused for every method's gap
-    oracle = [_proven_optimum(inst) for _, inst in instances]
-    cells = [
-        (idx, spec, inst, method)
-        for idx, (spec, inst) in enumerate(instances)
-        for method in methods
-    ]
-
-    def run_cell(cell):
-        idx, spec, inst, method = cell
+    def run(spec, inst, method):
         t0 = time.perf_counter()
         try:
             res = solve_with_method(
@@ -373,9 +348,21 @@ def _solve_cells(instances, methods, workers, measure_time):
         except Exception as exc:  # noqa: BLE001 - cell failures are recorded
             kind = "Infeasible" if isinstance(exc, Infeasible) else "error"
             res, elapsed = MethodResult(None, None, None, 0, f"{kind}: {exc}"), 0.0
+        return res, elapsed
+
+    # one oracle run per instance: it is the Exact cell and, when proven,
+    # the optimum of every gap
+    exact = [run(spec, inst, MethodSpec("exact")) for spec, inst in instances]
+    cells = [(idx, method) for idx in range(len(instances)) for method in methods]
+
+    def run_cell(cell):
+        idx, method = cell
+        spec, inst = instances[idx]
+        oracle = exact[idx][0]
+        res, elapsed = exact[idx] if method.name == "exact" else run(spec, inst, method)
         gap = None
-        if oracle[idx] is not None and res.binary is not None and res.feasible:
-            gap = gap_percent(res.binary, oracle[idx])
+        if oracle.status == "ok" and res.binary is not None and res.feasible:
+            gap = gap_percent(res.binary, oracle.binary)
         return SolveReport.of(
             spec.test_id, method, res, gap, elapsed, spec.seed.master_seed
         )
@@ -400,14 +387,7 @@ def epsilon_sweep(
 ) -> list[SolveReport]:
     """Entropic-GW regularization sweep on ``inst``; ``spec`` names the rows
     and seeds the cells."""
-    if not epsilons:
-        raise NonEmptyRequired("epsilon grid must be non-empty")
-    if any(e <= 0 for e in epsilons):
-        raise ValidationError("all epsilon values must be positive")
-    if len(set(epsilons)) != len(epsilons):
-        raise ValidationError("duplicate epsilon values in grid")
-    methods = [MethodSpec("egw", {"epsilon": e}) for e in epsilons]
-    return _solve_cells([(spec, inst)], methods, 1, measure_time)
+    return _sweep(spec, inst, "egw", "epsilon", epsilons, measure_time)
 
 
 def alpha_sweep(
@@ -418,13 +398,17 @@ def alpha_sweep(
 ) -> list[SolveReport]:
     """Fused-GW trade-off sweep on ``inst``; ``spec`` names the rows and
     seeds the cells."""
-    if not alphas:
-        raise NonEmptyRequired("alpha grid must be non-empty")
-    if any(not 0.0 <= a <= 1.0 for a in alphas):
-        raise ValidationError("all alpha values must lie in [0, 1]")
-    if len(set(alphas)) != len(alphas):
-        raise ValidationError("duplicate alpha values in grid")
-    methods = [MethodSpec("fgw", {"alpha": a}) for a in alphas]
+    return _sweep(spec, inst, "fgw", "alpha", alphas, measure_time)
+
+
+def _sweep(spec, inst, method, key, values, measure_time):
+    """One ``method`` cell per grid value of its parameter ``key``; the
+    values are checked by ``MethodSpec``."""
+    if not values:
+        raise NonEmptyRequired(f"{key} grid must be non-empty")
+    if len(set(values)) != len(values):
+        raise ValidationError(f"duplicate {key} values in grid")
+    methods = [MethodSpec(method, {key: v}) for v in values]
     return _solve_cells([(spec, inst)], methods, 1, measure_time)
 
 
@@ -448,19 +432,9 @@ def emit_report(reports: list[SolveReport], format: str = "csv") -> bytes:
         writer.writerow(CSV_COLUMNS)
         for r in reports:
             writer.writerow(
-                [
-                    r.instance_id,
-                    r.method,
-                    json.dumps(r.params, sort_keys=True),
-                    _fmt(r.objective_relaxed),
-                    _fmt(r.objective_binary),
-                    _fmt(r.feasible),
-                    _fmt(r.gap_pct),
-                    _fmt(r.runtime_s),
-                    r.iterations,
-                    r.seed,
-                    r.status,
-                ]
+                json.dumps(r.params, sort_keys=True) if col == "params"
+                else _fmt(getattr(r, col))
+                for col in CSV_COLUMNS
             )
         return buf.getvalue().encode()
     if format == "json":

@@ -1,8 +1,9 @@
 """Shared domain types, validation and the deterministic RNG policy.
 
-All arithmetic is float64. Tolerances are fixed module-wide:
-histogram mass 1e-12, coupling marginals 1e-9 (post-solve),
-matrix symmetry 1e-12, polytope projection delta 1e-12.
+All arithmetic is float64. Tolerances are fixed library-wide: histogram
+mass HIST_TOL, coupling marginals MARGINAL_TOL (post-solve, solver inits,
+Sinkhorn's default), matrix symmetry SYMMETRY_TOL, polytope projection
+delta PROJECTION_DELTA.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .core import Coupling, MmSpace, SymCostMatrix, normalize_masses, validate_sym_cost
 from .errors import (
-    AlphaOutOfRange,
     DimensionMismatch,
     Infeasible,
     NegativeWeight,
@@ -157,8 +156,6 @@ def _spectral_radius(a: np.ndarray) -> float:
 
 
 def to_fgw_problem(inst: CqapInstance, alpha: float) -> FgwProblem:
-    if not 0.0 <= alpha <= 1.0:
-        raise AlphaOutOfRange(f"alpha={alpha} outside [0, 1]")
     return FgwProblem(
         gw=to_gw_problem(inst), feature_cost=inst.linear_cost, alpha=alpha
     )

@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    MARGINAL_TOL,
     Coupling,
     MmSpace,
     SeedPolicy,
@@ -53,6 +54,18 @@ from .linear_ot import TransportLp, sinkhorn, sinkhorn_project, solve_exact_ot
 
 
 LOSSES = ("square", "product")
+
+# Frank-Wolfe stops after FW_MAX_ITER steps, or once a step changes the
+# objective by less than FW_TOL relative to max(|objective|, 1)
+FW_MAX_ITER = 1000
+FW_TOL = 1e-9
+# entropic GW: outer steps, Sinkhorn iterations per step, and the inf-norm
+# change of the coupling that stops the outer loop
+EGW_MAX_OUTER = 200
+EGW_MAX_SINKHORN = 1000
+EGW_TOL = 1e-7
+# multi-init draws each random start as Uniform(0, 1) + INIT_JITTER
+INIT_JITTER = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,13 +119,11 @@ class FgwProblem:
 @dataclass(frozen=True)
 class MultiInitConfig:
     trials: int = 20
-    delta: float = 1e-12
-    jitter: float = 1e-6
     seed: SeedPolicy = field(default_factory=lambda: SeedPolicy(0))
 
     def __post_init__(self):
-        if self.trials < 0 or self.delta <= 0 or self.jitter <= 0:
-            raise ValueError("trials >= 0, delta > 0 and jitter > 0 required")
+        if self.trials < 0:
+            raise ValueError("trials >= 0 required")
 
 
 @dataclass(frozen=True)
@@ -162,7 +173,7 @@ def gw_gradient(problem: GwProblem, plan) -> np.ndarray:
 
 def _check_init(problem: GwProblem, init: Coupling | None) -> Coupling:
     """The problem's default init, or ``init`` once its shape and marginals
-    (to 1e-9) are checked against the problem."""
+    (to MARGINAL_TOL) are checked against the problem."""
     if init is None:
         return problem.default_init()
     if init.shape != problem.shape:
@@ -170,7 +181,7 @@ def _check_init(problem: GwProblem, init: Coupling | None) -> Coupling:
     row_err, col_err = marginal_violation(
         Coupling(init.plan, problem.source.mass, problem.target.mass)
     )
-    if max(row_err, col_err) > 1e-9:
+    if max(row_err, col_err) > MARGINAL_TOL:
         raise InvalidInit(f"init marginals off by ({row_err:.2e}, {col_err:.2e})")
     return init
 
@@ -180,8 +191,6 @@ def _fw_solve(
     linear_cost,
     alpha: float,
     init: Coupling | None,
-    max_iter: int,
-    tol: float,
     model: TransportLp | None = None,
 ) -> GwSolution:
     """Conditional gradient on alpha*(GW + concavity term) + (1-alpha)*<M, pi>.
@@ -220,7 +229,7 @@ def _fw_solve(
     history = [objective(pi, E)]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FW_MAX_ITER + 1):
         gw_grad = 2.0 * E
         if mu:
             gw_grad += mu * (g.weights[None, :] - 2.0 * pi)
@@ -247,7 +256,7 @@ def _fw_solve(
         history.append(f_new)
         f_prev = history[-2]
         denom = max(abs(f_prev), 1.0)
-        if abs(f_prev - f_new) / denom < tol:
+        if abs(f_prev - f_new) / denom < FW_TOL:
             converged = True
             break
     return GwSolution(
@@ -262,8 +271,6 @@ def _fw_solve(
 def solve_gw(
     problem: GwProblem,
     init: Coupling | None = None,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
     *,
     model: TransportLp | None = None,
 ) -> GwSolution:
@@ -274,33 +281,21 @@ def solve_gw(
     ``TransportLp`` of the problem's marginals passed as ``model`` is reset
     and re-used for the exact-OT steps; the result is the same without it.
     """
-    return _fw_solve(problem, None, 1.0, init, max_iter, tol, model)
+    return _fw_solve(problem, None, 1.0, init, model)
 
 
-def solve_fgw(
-    problem: FgwProblem,
-    init: Coupling | None = None,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
-) -> GwSolution:
+def solve_fgw(problem: FgwProblem, init: Coupling | None = None) -> GwSolution:
     """Fused GW: conditional gradient on the alpha-blended objective."""
-    return _fw_solve(
-        problem.gw, problem.feature_cost, problem.alpha, init, max_iter, tol
-    )
+    return _fw_solve(problem.gw, problem.feature_cost, problem.alpha, init)
 
 
-def solve_gw_multi_init(
-    problem: GwProblem,
-    config: MultiInitConfig,
-    max_iter: int = 1000,
-    tol: float = 1e-9,
-) -> GwSolution:
+def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSolution:
     """Multi-start GW: default init plus T projected random couplings.
 
-    Random trial t draws Uniform(0,1) + jitter from its own derived RNG
-    stream, projects onto the coupling polytope by alternating rescaling
-    (tolerance delta), solves, and the lowest-objective solution wins.
-    Ties break on the earliest trial (default init first). A trial that
+    Random trial t draws Uniform(0,1) + INIT_JITTER from its own derived
+    RNG stream, projects onto the coupling polytope by alternating
+    rescaling (to PROJECTION_DELTA), solves, and the lowest-objective
+    solution wins. Ties break on the earliest trial (default init first). A trial that
     raises a library error is skipped and listed in ``failed_trials``; any
     other exception propagates. All starts share one transport model.
     """
@@ -308,14 +303,14 @@ def solve_gw_multi_init(
     h, g = problem.source.mass, problem.target.mass
 
     model = TransportLp(h, g)
-    best = solve_gw(problem, None, max_iter, tol, model=model)
+    best = solve_gw(problem, None, model=model)
     failed = []
     for t in range(1, config.trials + 1):
         rng = config.seed.substream(t).generator()
-        raw = rng.uniform(0.0, 1.0, size=(n, m)) + config.jitter
+        raw = rng.uniform(0.0, 1.0, size=(n, m)) + INIT_JITTER
         try:
-            init = sinkhorn_project(raw, h, g, delta=config.delta)
-            sol = solve_gw(problem, init, max_iter, tol, model=model)
+            init = sinkhorn_project(raw, h, g)
+            sol = solve_gw(problem, init, model=model)
         except GwqapError as exc:
             failed.append((t, type(exc).__name__))
             continue
@@ -324,19 +319,13 @@ def solve_gw_multi_init(
     return replace(best, failed_trials=tuple(failed))
 
 
-def solve_entropic_gw(
-    problem: GwProblem,
-    epsilon: float,
-    max_outer: int = 200,
-    max_sinkhorn: int = 1000,
-    tol: float = 1e-7,
-) -> GwSolution:
+def solve_entropic_gw(problem: GwProblem, epsilon: float) -> GwSolution:
     """Entropic GW: alternate GW gradient with a Sinkhorn subproblem.
 
     Each outer step treats the current gradient as a linear cost and solves
     entropic OT with regularization epsilon; stops when the coupling's
-    inf-norm change drops below tol. Reported objective is the unregularized
-    GW loss of the returned coupling.
+    inf-norm change drops below EGW_TOL. Reported objective is the
+    unregularized GW loss of the returned coupling.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -344,15 +333,13 @@ def solve_entropic_gw(
     pi = problem.default_init().plan
     converged = False
     iterations = 0
-    for iterations in range(1, max_outer + 1):
+    for iterations in range(1, EGW_MAX_OUTER + 1):
         grad = gw_gradient(problem, pi)
-        coupling, _, _, _ = sinkhorn(
-            grad, h, g, epsilon, max_iter=max_sinkhorn, tol=1e-9
-        )
+        coupling, _, _, _ = sinkhorn(grad, h, g, epsilon, max_iter=EGW_MAX_SINKHORN)
         new_pi = coupling.plan
         change = float(np.abs(new_pi - pi).max())
         pi = new_pi
-        if change < tol:
+        if change < EGW_TOL:
             converged = True
             break
     coupling = Coupling(pi, h, g)

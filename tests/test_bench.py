@@ -145,6 +145,27 @@ class TestRunSuite:
         assert calls == ["exact", "gw"]
         assert all(r.runtime_s > 0.0 for r in reports)
 
+    def test_oracle_runs_once_per_instance(self, monkeypatch):
+        import gwqap.bench as bench
+
+        specs = [InstanceSpec.named(sid, SeedPolicy(7, stream_id=i))
+                 for i, sid in enumerate(("S1", "S2"))]
+        drawn = {spec: generate_instance(spec) for spec in specs}
+        # generation is counted out: the suite gets the instances drawn here
+        monkeypatch.setattr(bench, "generate_instance", drawn.__getitem__)
+        calls = []
+        enum = bench.solve_exact_enum
+
+        def counting(inst, *args, **kwargs):
+            calls.append(inst)
+            return enum(inst, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "solve_exact_enum", counting)
+        methods = [MethodSpec("exact"), MethodSpec("gw"), MethodSpec("fgw")]
+        reports = run_suite(specs, methods, measure_time=False)
+        assert [id(inst) for inst in calls] == [id(drawn[spec]) for spec in specs]
+        assert all(r.gap_pct is not None for r in reports)
+
 
 # gw-multi (20 trials) on the seed-0 M instances, recorded with the
 # three-contraction Frank-Wolfe on one transport model per start: relaxed and
@@ -209,6 +230,11 @@ class TestMethodSpec:
         names = ["exact", "gw", "gw-multi", "egw", "fgw", "ga"]
         offsets = [_method_stream(MethodSpec(n)) for n in names]
         assert offsets == [1000, 2000, 3000, 4000, 5000, 6000]
+
+    def test_alpha_outside_unit_interval_rejected(self):
+        for alpha in (1.5, -0.1):
+            with pytest.raises(ValidationError):
+                MethodSpec("fgw", {"alpha": alpha})
 
     def test_config_fields_accepted(self):
         MethodSpec("ga", {"population": 10, "tournament_size": 2})

@@ -22,6 +22,7 @@ from gwqap import (
     validate_histogram,
 )
 from gwqap import gw
+from gwqap.core import PROJECTION_DELTA
 from gwqap.gw import FgwProblem, GwProblem, MultiInitConfig
 from gwqap.errors import AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence
 
@@ -307,6 +308,19 @@ class TestSolveGw:
         with pytest.raises(InvalidInit):
             solve_gw(GwProblem(src, tgt), init=bad)
 
+    def test_init_marginal_tolerance(self):
+        rng = np.random.default_rng(0)
+        problem = GwProblem(random_space(rng, 3), random_space(rng, 3))
+        for off, ok in ((0.5e-9, True), (2e-9, False)):
+            plan = problem.default_init().plan.copy()
+            plan[0, 0] += off
+            init = Coupling(plan, problem.source.mass, problem.target.mass)
+            if ok:
+                assert gw._check_init(problem, init) is init
+            else:
+                with pytest.raises(InvalidInit):
+                    gw._check_init(problem, init)
+
     def test_fgw_checks_init_like_gw(self):
         rng = np.random.default_rng(0)
         src, tgt = random_space(rng, 3), random_space(rng, 3)
@@ -374,8 +388,8 @@ class TestMultiInit:
         trial_objs = [solve_gw(prob).objective]
         for t in range(1, config.trials + 1):
             gen = config.seed.substream(t).generator()
-            raw = gen.uniform(0, 1, size=prob.shape) + config.jitter
-            init = sinkhorn_project(raw, src.mass, tgt.mass, delta=config.delta)
+            raw = gen.uniform(0, 1, size=prob.shape) + gw.INIT_JITTER
+            init = sinkhorn_project(raw, src.mass, tgt.mass, delta=PROJECTION_DELTA)
             trial_objs.append(solve_gw(prob, init).objective)
         assert best.objective <= min(trial_objs) + 1e-15
 
