@@ -29,6 +29,7 @@ from .cqap import (
     gap_percent,
     round_coupling,
     solve_exact_enum,
+    to_gw_problem,
 )
 from .errors import (
     GenerationFailed,
@@ -38,8 +39,9 @@ from .errors import (
     ValidationError,
 )
 from .ga import GaConfig, solve_ga
-from .gw import MultiInitConfig, solve_entropic_gw, solve_fgw, solve_gw, solve_gw_multi_init
-from .cqap import to_fgw_problem, to_gw_problem
+from .gw import (
+    FgwProblem, MultiInitConfig, solve_entropic_gw, solve_fgw, solve_gw, solve_gw_multi_init
+)
 
 INSTANCE_SCHEMA = "cqap/1"
 REPORT_SCHEMA = "cqap-report/1"
@@ -94,52 +96,61 @@ class InstanceSpec:
         return cls(test_id, n, m, seed)
 
 
-# report label per method
-_LABELS = {
-    "exact": "Exact",
-    "gw": "GW_Default",
-    "gw-multi": "GW_MultiInit",
-    "egw": "EGW({epsilon})",
-    "fgw": "FGW({alpha})",
-    "ga": "GA",
+class Method(NamedTuple):
+    label: str  # report label, a format string over the parameters
+    defaults: dict  # every parameter the method takes -> its default
+    config: type | None = None  # built from the values to check them
+
+
+def _config_params(config: type) -> dict:
+    return {f.name: f.default for f in fields(config) if f.name != "seed"}
+
+
+# every method, in seed-stream order: a new method goes at the end
+METHODS = {
+    "exact": Method("Exact", {}),
+    "gw": Method("GW_Default", {}),
+    "gw-multi": Method("GW_MultiInit", _config_params(MultiInitConfig), MultiInitConfig),
+    "egw": Method("EGW({epsilon})", {"epsilon": 0.8}),
+    "fgw": Method("FGW({alpha})", {"alpha": 0.5}),
+    "ga": Method("GA", _config_params(GaConfig), GaConfig),
 }
-_DEFAULTS = {"egw": {"epsilon": 0.8}, "fgw": {"alpha": 0.5}}
-_PARAMS = {
-    "gw-multi": {"trials"},
-    "ga": {f.name for f in fields(GaConfig)} - {"seed"},
-    "egw": {"epsilon"},
-    "fgw": {"alpha"},
-}
-# gw-multi and ga take their defaults, and their value checks, from these
-_CONFIGS = {"gw-multi": MultiInitConfig, "ga": GaConfig}
 
 
 @dataclass(frozen=True)
 class MethodSpec:
     """A solver selection plus its parameters, as used by the suite runner."""
 
-    name: str  # exact | gw | gw-multi | egw | fgw | ga
+    name: str  # a key of METHODS
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.name not in _LABELS:
+        if self.name not in METHODS:
             raise ValidationError(f"unknown method {self.name!r}")
-        unknown = sorted(set(self.params) - _PARAMS.get(self.name, set()))
+        # a copy: the caller's dict may change after validation
+        object.__setattr__(self, "params", dict(self.params))
+        method = METHODS[self.name]
+        unknown = sorted(set(self.params) - set(method.defaults))
         if unknown:
             raise ValidationError(f"method {self.name!r} takes no parameter {unknown}")
-        if self.name in _CONFIGS:
+        p = self.settings
+        if method.config:
             try:
-                _CONFIGS[self.name](**self.params)
+                method.config(**p)
             except ValueError as exc:
                 raise ValidationError(f"method {self.name!r}: {exc}") from exc
-        p = {**_DEFAULTS.get(self.name, {}), **self.params}
         if not p.get("epsilon", 1.0) > 0:
             raise ValidationError("epsilon must be positive")
         if not 0.0 <= p.get("alpha", 0.0) <= 1.0:
             raise ValidationError("alpha must lie in [0, 1]")
 
+    @property
+    def settings(self) -> dict:
+        """Every parameter of the method: the given ones over the defaults."""
+        return {**METHODS[self.name].defaults, **self.params}
+
     def label(self) -> str:
-        return _LABELS[self.name].format(**{**_DEFAULTS.get(self.name, {}), **self.params})
+        return METHODS[self.name].label.format(**self.settings)
 
 
 @dataclass
@@ -181,9 +192,10 @@ def generate_instance(spec: InstanceSpec) -> CqapInstance:
 
     Positions are Uniform([0,10]^2); capacities and demands are uniform
     integers in {1..6}. Demands are redrawn (same stream, at most
-    _GENERATION_ATTEMPTS draws) until the instance is feasible: verified by
-    the exact oracle for small instances, by the total-capacity heuristic
-    for large ones.
+    _GENERATION_ATTEMPTS draws) until the instance passes a feasibility
+    check. Up to _FEASIBILITY_PRECHECK_CELLS cells the exact oracle proves
+    a feasible assignment exists; above that only sum u >= sum d is
+    checked, so a larger instance may admit no feasible assignment.
     """
     rng = spec.seed.generator()
     n, m = spec.n_agents, spec.n_tasks
@@ -288,7 +300,7 @@ def solve_with_method(
 ) -> MethodResult:
     """Run one method on one instance."""
     name = method.name
-    p = {**_DEFAULTS.get(name, {}), **method.params}
+    p = method.settings
     if name == "exact":
         if not _oracle_fits(inst):
             return MethodResult(None, None, None, 0, "SkippedTooLarge")
@@ -308,7 +320,7 @@ def solve_with_method(
     elif name == "egw":
         sol = solve_entropic_gw(problem, epsilon=p["epsilon"])
     else:
-        sol = solve_fgw(to_fgw_problem(inst, alpha=p["alpha"]))
+        sol = solve_fgw(FgwProblem(problem, inst.linear_cost, p["alpha"]))
 
     relaxed = coupling_objective(inst, sol.coupling)
     rounded = round_coupling(inst, sol.coupling)
@@ -375,8 +387,7 @@ def _solve_cells(instances, methods, workers, measure_time):
 
 def _method_stream(method: MethodSpec) -> int:
     # fixed per-method stream offsets keep cells order-independent
-    order = ("exact", "gw", "gw-multi", "egw", "fgw", "ga")
-    return 1000 * (order.index(method.name) + 1)
+    return 1000 * (list(METHODS).index(method.name) + 1)
 
 
 def epsilon_sweep(
@@ -387,7 +398,7 @@ def epsilon_sweep(
 ) -> list[SolveReport]:
     """Entropic-GW regularization sweep on ``inst``; ``spec`` names the rows
     and seeds the cells."""
-    return _sweep(spec, inst, "egw", "epsilon", epsilons, measure_time)
+    return _sweep(spec, inst, "egw", epsilons, measure_time)
 
 
 def alpha_sweep(
@@ -398,12 +409,13 @@ def alpha_sweep(
 ) -> list[SolveReport]:
     """Fused-GW trade-off sweep on ``inst``; ``spec`` names the rows and
     seeds the cells."""
-    return _sweep(spec, inst, "fgw", "alpha", alphas, measure_time)
+    return _sweep(spec, inst, "fgw", alphas, measure_time)
 
 
-def _sweep(spec, inst, method, key, values, measure_time):
-    """One ``method`` cell per grid value of its parameter ``key``; the
-    values are checked by ``MethodSpec``."""
+def _sweep(spec, inst, method, values, measure_time):
+    """One ``method`` cell per grid value of its one parameter; the values
+    are checked by ``MethodSpec``."""
+    (key,) = METHODS[method].defaults
     if not values:
         raise NonEmptyRequired(f"{key} grid must be non-empty")
     if len(set(values)) != len(values):

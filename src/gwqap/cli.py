@@ -14,6 +14,7 @@ import time
 import click
 
 from .bench import (
+    METHODS,
     NAMED_SPECS,
     InstanceSpec,
     MethodSpec,
@@ -84,38 +85,28 @@ def gen(spec_id, agents, tasks, seed, out):
     click.echo(f"wrote {spec.test_id} instance ({spec.n_agents}x{spec.n_tasks}) to {out}")
 
 
-def _method_from_flags(method, trials, epsilon, alpha, ga_pop, ga_gens):
-    params = {}
-    if method == "gw-multi":
-        params["trials"] = trials
-    elif method == "egw":
-        params["epsilon"] = epsilon
-    elif method == "fgw":
-        params["alpha"] = alpha
-    elif method == "ga":
-        params["population"] = ga_pop
-        params["generations"] = ga_gens
-    return MethodSpec(method, params)
+# solve's method flags -> the parameter each sets; its default is the
+# parameter's default in METHODS
+_FLAGS = {"trials": "trials", "epsilon": "epsilon", "alpha": "alpha",
+          "ga_pop": "population", "ga_gens": "generations"}
+_DEFAULTS = {p: v for method in METHODS.values() for p, v in method.defaults.items()}
 
 
 @main.command()
 @click.option("--inst", "inst_path", type=click.Path(exists=True), required=True)
-@click.option(
-    "--method",
-    type=click.Choice(["exact", "gw", "gw-multi", "egw", "fgw", "ga"]),
-    required=True,
-)
-@click.option("--trials", type=int, default=20)
-@click.option("--epsilon", type=float, default=0.8)
-@click.option("--alpha", type=float, default=0.5)
-@click.option("--ga-pop", type=int, default=100)
-@click.option("--ga-gens", type=int, default=200)
+@click.option("--method", type=click.Choice(list(METHODS)), required=True)
+@click.option("--trials", type=int, default=_DEFAULTS["trials"])
+@click.option("--epsilon", type=float, default=_DEFAULTS["epsilon"])
+@click.option("--alpha", type=float, default=_DEFAULTS["alpha"])
+@click.option("--ga-pop", type=int, default=_DEFAULTS["population"])
+@click.option("--ga-gens", type=int, default=_DEFAULTS["generations"])
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True)
-def solve(inst_path, method, trials, epsilon, alpha, ga_pop, ga_gens, seed, out):
+def solve(inst_path, method, seed, out, **flags):
     """Solve one instance with one method and write a JSON report."""
     inst, test_id, _ = _load_instance(inst_path)
-    spec = _method_from_flags(method, trials, epsilon, alpha, ga_pop, ga_gens)
+    takes = METHODS[method].defaults
+    spec = MethodSpec(method, {p: flags[f] for f, p in _FLAGS.items() if p in takes})
     t0 = time.perf_counter()
     res = solve_with_method(inst, spec, SeedPolicy(seed))
     runtime_s = time.perf_counter() - t0

@@ -12,6 +12,7 @@ coverage (sum_i u_i x_ij >= d_j) over binary x.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -62,6 +63,13 @@ class CqapInstance:
         for name, a in (("flow", F), ("distance", D), ("linear cost", C)):
             if np.any(a < 0):
                 raise NegativeWeight(f"{name} has a negative entry")
+
+    @cached_property
+    def own_cost(self) -> np.ndarray:
+        """C[i,j] + F[i,i] D[j,j]: agent i's cost of holding task j alone."""
+        diag_f = np.diag(self.flow.entries)
+        diag_d = np.diag(self.distance.entries)
+        return self.linear_cost + diag_f[:, None] * diag_d[None, :]
 
 
 @dataclass(frozen=True)
@@ -357,8 +365,7 @@ def solve_exact_enum(
     short = np.flatnonzero(d > inst.capacity.max())
     if short.size:
         raise Infeasible(f"no agent can hold the demand of task {short[0]}")
-    # cost of task j's agent alone; pairs with earlier tasks are added below
-    own = inst.linear_cost + np.diag(F)[:, None] * np.diag(D)[None, :]
+    own = inst.own_cost  # pairs with earlier tasks are added below
     agent = np.zeros(m, dtype=np.int64)
     residual = inst.capacity.copy()
     best_val = np.inf

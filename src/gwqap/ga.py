@@ -45,15 +45,16 @@ def decode(inst: CqapInstance, chrom: Chromosome) -> AssignmentMatrix:
     """Greedy capacity-feasible decoding of a priority permutation."""
     F = inst.flow.entries
     D = inst.distance.entries
+    own = inst.own_cost
     x = np.zeros((inst.n, inst.m))
     residual = inst.capacity.copy()
     for j in chrom.priority:
         feasible = np.flatnonzero(residual >= inst.demand[j])
         if feasible.size == 0:
             continue
-        # marginal objective increase of setting x[i, j] = 1: column j of
-        # the interaction F x D^T with the tasks placed so far
-        delta = inst.linear_cost[feasible, j] + 2.0 * (F[feasible] @ (x @ D[j]))
+        # objective increase of setting x[i, j] = 1: task j's own cost plus
+        # column j of the interaction F x D^T with the tasks placed so far
+        delta = own[feasible, j] + 2.0 * (F[feasible] @ (x @ D[j]))
         i = feasible[np.argmin(delta)]
         x[i, j] = 1
         residual[i] -= inst.demand[j]

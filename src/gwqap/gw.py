@@ -324,8 +324,9 @@ def solve_entropic_gw(problem: GwProblem, epsilon: float) -> GwSolution:
 
     Each outer step treats the current gradient as a linear cost and solves
     entropic OT with regularization epsilon; stops when the coupling's
-    inf-norm change drops below EGW_TOL. Reported objective is the
-    unregularized GW loss of the returned coupling.
+    inf-norm change drops below EGW_TOL. It reports convergence only if it
+    stopped so and the Sinkhorn solve of the returned coupling converged.
+    Reported objective is the unregularized GW loss of the returned coupling.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -335,12 +336,13 @@ def solve_entropic_gw(problem: GwProblem, epsilon: float) -> GwSolution:
     iterations = 0
     for iterations in range(1, EGW_MAX_OUTER + 1):
         grad = gw_gradient(problem, pi)
-        coupling, _, _, _ = sinkhorn(grad, h, g, epsilon, max_iter=EGW_MAX_SINKHORN)
+        coupling, _, _, solved = sinkhorn(grad, h, g, epsilon, max_iter=EGW_MAX_SINKHORN)
         new_pi = coupling.plan
         change = float(np.abs(new_pi - pi).max())
         pi = new_pi
         if change < EGW_TOL:
-            converged = True
+            # the returned coupling holds the marginals only if its solve did
+            converged = solved
             break
     coupling = Coupling(pi, h, g)
     return GwSolution(

@@ -241,6 +241,35 @@ class TestMethodSpec:
         assert MethodSpec("fgw").label() == "FGW(0.5)"
         assert MethodSpec("egw", {"epsilon": 0.05}).label() == "EGW(0.05)"
 
+    def test_params_cannot_change_after_validation(self):
+        p = {"trials": 2}
+        s = MethodSpec("gw-multi", p)
+        p["trials"] = -1
+        assert s.params == {"trials": 2}
+
+    def test_settings_merge_params_over_defaults(self):
+        from gwqap.bench import METHODS
+
+        assert MethodSpec("gw-multi").settings == {"trials": 20}
+        ga = MethodSpec("ga", {"generations": 3}).settings
+        assert list(ga) == list(METHODS["ga"].defaults)
+        assert ga["generations"] == 3 and ga["population"] == 100
+
+    def test_fgw_cell_builds_its_problem_once(self, monkeypatch):
+        import gwqap.cqap as cqap
+
+        calls = []
+        radius = cqap._spectral_radius
+
+        def counting(a):
+            calls.append(a.shape)
+            return radius(a)
+
+        monkeypatch.setattr(cqap, "_spectral_radius", counting)
+        inst = generate_instance(InstanceSpec.named("S2", SeedPolicy(0)))
+        solve_with_method(inst, MethodSpec("fgw"), SeedPolicy(0))
+        assert len(calls) == 2
+
 
 class TestSweeps:
     def test_epsilon_sweep_columns(self):

@@ -320,3 +320,34 @@ def test_oracle_runs_above_25_agents(tmp_path):
     result = runner.invoke(main, ["oracle", "--inst", str(path), "--node-cap", "5"])
     assert result.exit_code == 3, result.output
     assert "proven=False" in result.output
+
+
+def test_solve_method_choices_are_the_catalogue():
+    from gwqap.bench import METHODS
+    from gwqap.cli import solve
+
+    (option,) = [p for p in solve.params if p.name == "method"]
+    assert list(option.type.choices) == list(METHODS)
+
+
+@pytest.mark.parametrize(
+    "method, params",
+    [
+        ("exact", {}),
+        ("gw", {}),
+        ("gw-multi", {"trials": 20}),
+        ("egw", {"epsilon": 0.8}),
+        ("fgw", {"alpha": 0.5}),
+        ("ga", {"population": 100, "generations": 200}),
+    ],
+)
+def test_solve_writes_the_catalogue_defaults(tmp_path, method, params):
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    report = tmp_path / "r.json"
+    result = CliRunner().invoke(
+        main, ["solve", "--inst", str(path), "--method", method, "--out", str(report)]
+    )
+    assert result.exit_code == 0, result.output
+    written = json.loads(report.read_text())["reports"][0]["params"]
+    assert list(written.items()) == list(params.items())

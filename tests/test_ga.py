@@ -12,6 +12,7 @@ from gwqap import (
     generate_instance,
     solve_ga,
 )
+from gwqap.cqap import AssignmentMatrix
 from gwqap.ga import _order_crossover, _swap_mutation
 from tests.test_cqap import make_instance
 
@@ -63,6 +64,59 @@ class TestDecode:
                 priority = rng.permutation(inst.m)
                 got = decode(inst, Chromosome(priority)).x
                 assert np.array_equal(got, reference(inst, priority))
+
+    def test_counts_the_self_term(self):
+        # agent 0's flow diagonal makes it dearer than agent 1's linear cost
+        inst = make_instance(
+            [1, 1], [1], flow=[[5.0, 0.0], [0.0, 0.0]], distance=[[1.0]],
+            linear=[[0.0], [1.0]],
+        )
+        x = decode(inst, Chromosome(np.array([0])))
+        assert np.array_equal(x.x, [[0], [1]])
+        assert cqap_objective(inst, x) == 1.0
+
+    def test_each_step_takes_the_smallest_objective_increase(self):
+        # nonzero diagonals: the increase is measured by cqap_objective
+        def reference(inst, priority):
+            x = np.zeros((inst.n, inst.m), dtype=np.int64)
+            load = np.zeros(inst.n, dtype=np.int64)
+            for j in priority:
+                feasible = np.flatnonzero(inst.capacity - load >= inst.demand[j])
+                if feasible.size == 0:
+                    continue
+                base = cqap_objective(inst, AssignmentMatrix(x))
+                increase = []
+                for i in feasible:
+                    y = x.copy()
+                    y[i, j] = 1
+                    increase.append(cqap_objective(inst, AssignmentMatrix(y)) - base)
+                i = int(feasible[np.argmin(increase)])
+                x[i, j] = 1
+                load[i] += inst.demand[j]
+            return x
+
+        rng = np.random.default_rng(12)
+        for n, m in ((2, 3), (3, 4), (4, 6), (5, 5)):
+            for _ in range(10):
+                flow = rng.uniform(0.0, 5.0, size=(n, n))
+                distance = rng.uniform(0.0, 5.0, size=(m, m))
+                inst = make_instance(
+                    rng.integers(1, 7, size=n), rng.integers(1, 7, size=m),
+                    flow=flow + flow.T, distance=distance + distance.T,
+                    linear=rng.uniform(0.0, 5.0, size=(n, m)),
+                )
+                priority = rng.permutation(m)
+                got = decode(inst, Chromosome(priority)).x
+                assert np.array_equal(got, reference(inst, priority))
+
+    def test_own_cost_computed_once(self):
+        inst = make_instance(
+            [2, 2], [1, 1, 1], flow=[[1.0, 2.0], [2.0, 3.0]],
+            distance=np.full((3, 3), 2.0), linear=np.ones((2, 3)),
+        )
+        first = inst.own_cost
+        assert inst.own_cost is first
+        assert np.array_equal(first, [[3.0, 3.0, 3.0], [7.0, 7.0, 7.0]])
 
 
 class TestOperators:

@@ -484,6 +484,19 @@ class TestEntropicGw:
         ]
         assert all(b <= a + 1e-6 for a, b in zip(losses, losses[1:]))
 
+    def test_converged_only_if_the_last_sinkhorn_converged(self, monkeypatch):
+        from gwqap import InstanceSpec, generate_instance, to_gw_problem
+
+        prob = to_gw_problem(generate_instance(InstanceSpec.named("S2", SeedPolicy(0))))
+        sol = solve_entropic_gw(prob, epsilon=0.8)
+        assert sol.converged
+        assert max(marginal_violation(sol.coupling)) <= 1e-9
+        # one Sinkhorn iteration per outer step leaves the marginals off
+        monkeypatch.setattr(gw, "EGW_MAX_SINKHORN", 1)
+        sol = solve_entropic_gw(prob, epsilon=0.8)
+        assert max(marginal_violation(sol.coupling)) > 1e-9
+        assert not sol.converged
+
 
 class TestFgw:
     def _instance(self, seed, n=4, m=5):
