@@ -4,6 +4,11 @@ Chromosomes are task priority permutations; a greedy decoder assigns each
 task in priority order to the feasible facility with the smallest marginal
 objective increase, so capacity feasibility holds by construction. Tasks
 that fit nowhere stay unassigned and are penalized in the fitness.
+
+`solve_ga` decodes and scores each distinct priority once per run (and
+decodes the winner once more to return it), so its cost grows with the
+number of distinct chromosomes it meets rather than with population x
+generations.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ class GaConfig:
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be >= 2")
+        if self.generations < 0:
+            raise ValueError("generations must be >= 0")
         if not (0.0 <= self.crossover_rate <= 1.0 and 0.0 <= self.mutation_rate <= 1.0):
             raise ValueError("rates must lie in [0, 1]")
         if not 2 <= self.tournament_size <= self.population:
@@ -54,7 +61,7 @@ def decode(inst: CqapInstance, chrom: Chromosome) -> AssignmentMatrix:
             continue
         # objective increase of setting x[i, j] = 1: task j's own cost plus
         # column j of the interaction F x D^T with the tasks placed so far
-        delta = own[feasible, j] + 2.0 * (F[feasible] @ (x @ D[j]))
+        delta = own[:, j][feasible] + 2.0 * (F @ (x @ D[j]))[feasible]
         i = feasible[np.argmin(delta)]
         x[i, j] = 1
         residual[i] -= inst.demand[j]
@@ -68,8 +75,9 @@ def _fitness(inst: CqapInstance, x: AssignmentMatrix) -> float:
 
 def _order_crossover(p1, p2, rng):
     a, b = sorted(rng.integers(0, p1.shape[0], size=2))
-    kept = set(p1[a : b + 1].tolist())
-    fill = np.array([t for t in p2.tolist() if t not in kept], dtype=np.int64)
+    kept = np.zeros(p1.shape[0], dtype=bool)
+    kept[p1[a : b + 1]] = True
+    fill = p2[~kept[p2]]
     return np.concatenate((fill[:a], p1[a : b + 1], fill[a:]))
 
 
@@ -96,6 +104,17 @@ def solve_ga(
         contenders = rng.integers(0, config.population, size=config.tournament_size)
         return pop[min(contenders, key=lambda c: (fits[c], c))]
 
+    # priority bytes -> fitness, for this run only. Assignments are not kept:
+    # at n x m integers per distinct priority they would outgrow the population
+    # on large instances, so the winner is decoded once more at the end.
+    seen: dict[bytes, float] = {}
+
+    def fitness(p):
+        key = p.tobytes()
+        if key not in seen:
+            seen[key] = _fitness(inst, decode(inst, Chromosome(p)))
+        return seen[key]
+
     history = []
     for generation in range(config.generations + 1):
         if generation:
@@ -110,9 +129,8 @@ def solve_ga(
                     child = _swap_mutation(child, rng)
                 children.append(child)
             pop = children
-        decoded = [decode(inst, Chromosome(p)) for p in pop]
-        fits = np.array([_fitness(inst, x) for x in decoded])
+        fits = np.array([fitness(p) for p in pop])
         history.append(float(fits.min()))  # elitism keeps this non-increasing
 
-    best_x = decoded[int(np.argmin(fits))]
+    best_x = decode(inst, Chromosome(pop[int(np.argmin(fits))]))
     return best_x, cqap_objective(inst, best_x), np.array(history)

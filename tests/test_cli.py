@@ -241,6 +241,19 @@ def test_solve_bad_param_value_exit_code(tmp_path):
         assert result.exit_code == 2, (flags, result.output)
 
 
+def test_solve_negative_ga_generations_exit_code(tmp_path):
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    result = CliRunner().invoke(
+        main,
+        ["solve", "--inst", str(path), "--method", "ga", "--ga-gens", "-1",
+         "--out", str(tmp_path / "r.json")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "generations must be >= 0" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_internal_value_error_is_not_a_validation_exit(tmp_path, monkeypatch):
     import gwqap.cli as cli
 

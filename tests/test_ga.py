@@ -12,8 +12,9 @@ from gwqap import (
     generate_instance,
     solve_ga,
 )
+import gwqap.ga
 from gwqap.cqap import AssignmentMatrix
-from gwqap.ga import _order_crossover, _swap_mutation
+from gwqap.ga import UNASSIGNED_PENALTY, _order_crossover, _swap_mutation
 from tests.test_cqap import make_instance
 
 
@@ -178,6 +179,96 @@ class TestSolveGa:
             GaConfig(tournament_size=200, population=100, mutation_rate=0.1)
         with pytest.raises(ValueError):
             GaConfig(crossover_rate=1.5)
+
+    def test_negative_generations_rejected(self):
+        with pytest.raises(ValueError, match="generations"):
+            GaConfig(generations=-1)
+        assert GaConfig(generations=0).generations == 0
+
+
+def _uncached_ga(inst, config):
+    """The generation loop without a decode cache, as solve_ga ran before it
+    had one, with the set-based OX crossover; also returns the set of
+    distinct priorities it decoded."""
+
+    def order_crossover(p1, p2, rng):
+        a, b = sorted(rng.integers(0, p1.shape[0], size=2))
+        kept = set(p1[a : b + 1].tolist())
+        fill = np.array([t for t in p2.tolist() if t not in kept], dtype=np.int64)
+        return np.concatenate((fill[:a], p1[a : b + 1], fill[a:]))
+
+    def fitness(x):
+        unassigned = int((x.x.sum(axis=0) == 0).sum())
+        return cqap_objective(inst, x) + UNASSIGNED_PENALTY * unassigned
+
+    rng = config.seed.generator()
+    pop = [rng.permutation(inst.m) for _ in range(config.population)]
+
+    def pick():
+        contenders = rng.integers(0, config.population, size=config.tournament_size)
+        return pop[min(contenders, key=lambda c: (fits[c], c))]
+
+    history, distinct = [], set()
+    for generation in range(config.generations + 1):
+        if generation:
+            children = [pop[int(np.argmin(fits))]]
+            while len(children) < config.population:
+                p1, p2 = pick(), pick()
+                if rng.random() < config.crossover_rate:
+                    child = order_crossover(p1, p2, rng)
+                else:
+                    child = p1
+                if rng.random() < config.mutation_rate:
+                    child = _swap_mutation(child, rng)
+                children.append(child)
+            pop = children
+        distinct.update(p.tobytes() for p in pop)
+        decoded = [decode(inst, Chromosome(p)) for p in pop]
+        fits = np.array([fitness(x) for x in decoded])
+        history.append(float(fits.min()))
+
+    best_x = decoded[int(np.argmin(fits))]
+    return best_x, cqap_objective(inst, best_x), np.array(history), distinct
+
+
+class TestDecodeCache:
+    def test_each_distinct_priority_decoded_once(self, monkeypatch):
+        # S2 has 4 tasks, so at most 4! = 24 distinct priorities; the last
+        # call decodes the winner again to return its assignment
+        seed = SeedPolicy(0)
+        inst = generate_instance(InstanceSpec.named("S2", seed))
+        config = GaConfig(population=50, generations=50, seed=seed.substream(6000))
+        _, _, _, distinct = _uncached_ga(inst, config)
+
+        decoded = []
+
+        def counting(inst, chrom):
+            x = decode(inst, chrom)
+            decoded.append((chrom.priority.tobytes(), x.x.tobytes()))
+            return x
+
+        monkeypatch.setattr(gwqap.ga, "decode", counting)
+        got_x, _, _ = solve_ga(inst, config)
+        scored = [key for key, _ in decoded[:-1]]
+        assert len(scored) == len(set(scored)) <= 24
+        assert set(scored) == distinct
+        assert decoded[-1] in decoded[:-1]
+        assert decoded[-1][1] == got_x.x.tobytes()
+
+    @pytest.mark.parametrize("tid", ["S1", "S2", "S3", "M1"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal_to_uncached_loop(self, tid, seed):
+        policy = SeedPolicy(seed)
+        inst = generate_instance(InstanceSpec.named(tid, policy))
+        config = GaConfig(population=50, generations=50, seed=policy.substream(6000))
+        want_x, want_obj, want_history, _ = _uncached_ga(inst, config)
+        got_x, got_obj, got_history = solve_ga(inst, config)
+        assert got_x.x.dtype == want_x.x.dtype
+        assert got_x.x.tobytes() == want_x.x.tobytes()
+        assert type(got_obj) is type(want_obj)
+        assert got_obj == want_obj
+        assert got_history.dtype == want_history.dtype
+        assert got_history.tobytes() == want_history.tobytes()
 
 
 class TestRegressionPin:
