@@ -1,7 +1,8 @@
 """Command-line interface: instance generation, solving, bench suites, sweeps.
 
 Exit codes: 0 success, 2 validation error (including a malformed instance
-file), 3 solver non-convergence (best-effort output still written), 4
+file), 3 solver non-convergence (best-effort output still written) or an
+oracle whose node cap stopped it before any assignment (NoConvergence), 4
 infeasible instance or an instance the generator could not draw
 (GenerationFailed).
 """
@@ -30,7 +31,7 @@ from .bench import (
 )
 from .core import SeedPolicy
 from .cqap import solve_exact_enum
-from .errors import GenerationFailed, Infeasible, ValidationError
+from .errors import GenerationFailed, Infeasible, NoConvergence, ValidationError
 
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
@@ -45,6 +46,8 @@ class _Main(click.Group):
             return super().invoke(ctx)
         except ValidationError as exc:
             _fail(EXIT_VALIDATION, exc)
+        except NoConvergence as exc:
+            _fail(EXIT_NO_CONVERGENCE, exc)
         except (Infeasible, GenerationFailed) as exc:
             _fail(EXIT_INFEASIBLE, exc)
 
@@ -168,7 +171,8 @@ def sweep(kind, inst_path, grid, out):
 @click.option("--node-cap", type=int, default=100_000_000)
 def oracle(inst_path, node_cap):
     """Exact branch-and-bound oracle for one instance, any size; exits 3
-    when --node-cap nodes did not prove the optimum."""
+    when --node-cap nodes did not prove the optimum, with no output if they
+    found no assignment."""
     inst, _, _ = _load_instance(inst_path)
     x, obj, proven = solve_exact_enum(inst, node_cap=node_cap)
     click.echo(f"objective={obj!r} proven={proven}")

@@ -16,17 +16,17 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .core import Coupling, MmSpace, SymCostMatrix, normalize_masses, validate_sym_cost
 from .errors import (
     DimensionMismatch,
     Infeasible,
     NegativeWeight,
+    NoConvergence,
     NonPositiveExact,
 )
 from .gw import FgwProblem, GwProblem
-from .linear_ot import _highs, _highs_model, _highs_solution, _transport_constraints
+from .linear_ot import _binary_program, _transport_constraints
 
 
 @dataclass(frozen=True)
@@ -244,26 +244,6 @@ def _assignment_constraints(u: np.ndarray, d: np.ndarray) -> sparse.csc_matrix:
     )
 
 
-def _binary_program(cost, A, lower, upper) -> np.ndarray:
-    """min cost @ x s.t. lower <= A x <= upper, x binary (feasible by
-    construction)."""
-    size = cost.size
-    if _highs is None:
-        return milp(
-            cost,
-            constraints=[LinearConstraint(A, lower, upper)],
-            integrality=np.ones(size),
-            bounds=Bounds(0.0, 1.0),
-        ).x
-    # HiGHS's default cut and conflict pools (10^4 entries) raised the
-    # process's peak memory by about 10 MB over a few dozen 20 x 20
-    # roundings; a small pool leaves the solve exact
-    model = _highs_model(
-        A, cost, np.ones(size), lower, upper, integer=True, mip_pool_soft_limit=10
-    )
-    return _highs_solution(model, "rounding MILP")
-
-
 def _descend(inst: CqapInstance, x: np.ndarray) -> np.ndarray:
     """Best-improvement descent over task moves and pairwise task swaps.
 
@@ -356,7 +336,8 @@ def solve_exact_enum(
     the partial objective (a lower bound, since every cost term is
     nonnegative; ``CqapInstance`` checks that). Returns (best x, objective,
     proven); proven is False when the node cap interrupted the search.
-    Raises Infeasible when no assignment can satisfy the constraints.
+    Raises Infeasible when no assignment can satisfy the constraints, and
+    NoConvergence when the cap stops the search before it finds one.
     """
     n, m = inst.n, inst.m
     d = inst.demand
@@ -397,7 +378,7 @@ def solve_exact_enum(
     proven = dfs(0, 0.0)
     if best is None:
         if not proven:
-            raise Infeasible(
+            raise NoConvergence(
                 "node cap hit before any feasible assignment was found"
             )
         raise Infeasible("no assignment satisfies capacity and demand")

@@ -54,14 +54,8 @@ class UnknownFormat(ValidationError):
 
 
 class NoConvergence(GwqapError):
-    """Iteration cap hit before the tolerance was reached.
-
-    Carries the best iterate so callers can still inspect it.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iteration or node cap, or a failed LP, stopped a solver short of
+    its result."""
 
 
 class NumericalUnderflow(GwqapError):

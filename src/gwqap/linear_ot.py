@@ -6,12 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment
+from scipy.optimize import linprog, milp
 
 from .core import MARGINAL_TOL, PROJECTION_DELTA, Coupling, Histogram
 from .errors import DimensionMismatch, NoConvergence, NonSquare, NumericalUnderflow
 
-try:  # the HiGHS bindings scipy ships (a private module; linprog is the fallback)
+# the HiGHS bindings scipy ships (a private module; linprog and milp are the
+# fallbacks when it is missing)
+try:
     from scipy.optimize._highspy import _core as _highs
 except ImportError:  # pragma: no cover - depends on the scipy build
     _highs = None
@@ -67,12 +70,12 @@ def solve_exact_ot(
 class TransportLp:
     """The transportation LP of fixed marginals (h, g) as one HiGHS model.
 
-    Zero-mass atoms get zero rows/columns; the LP lives on the positive
-    support. Each ``solve`` changes only the costs and restarts dual
-    simplex from the previous optimal basis, so a sequence of costs, as
-    Frank-Wolfe produces, costs a fraction of cold solves. Every answer is
-    a basic optimal plan. Without scipy's HiGHS bindings each solve is a
-    cold ``linprog`` call.
+    Each ``solve`` changes only the costs and restarts dual simplex from
+    the previous optimal basis, so a sequence of costs, as Frank-Wolfe
+    produces, costs a fraction of cold solves. Every answer is a basic
+    optimal plan; a zero-mass atom's row or column sums to zero, so its
+    entries are zero. Without scipy's HiGHS bindings each solve is a cold
+    ``linprog`` call.
 
     A multi-init builds one model for all of its starts. Each Frank-Wolfe
     solve calls ``reset`` first, so it runs the same LP sequence, bit for
@@ -81,19 +84,15 @@ class TransportLp:
 
     def __init__(self, h: Histogram, g: Histogram):
         self.shape = (h.n, g.n)
-        self._rows = np.flatnonzero(h.weights > 0)
-        self._cols = np.flatnonzero(g.weights > 0)
-        self._h = h.weights[self._rows]
-        self._g = g.weights[self._cols]
-        # every atom carries mass (always so on the CQAP): no gather/scatter
-        self._full = self._rows.size == h.n and self._cols.size == g.n
+        self._h = h.weights
+        self._g = g.weights
         self._model = None
-        if _highs is not None and self._rows.size > 1 and self._cols.size > 1:
-            size = self._rows.size * self._cols.size
+        if _highs is not None:
+            size = h.n * g.n
             self._index = np.arange(size, dtype=np.int32)
             b = np.concatenate([self._h, self._g])
             self._model = _highs_model(
-                _transport_constraints(self._rows.size, self._cols.size),
+                _transport_constraints(h.n, g.n),
                 np.zeros(size),
                 np.full(size, np.inf),
                 b,
@@ -108,18 +107,11 @@ class TransportLp:
             self._model.clearSolver()
 
     def solve(self, cost: np.ndarray) -> np.ndarray:
-        sub = cost if self._full else cost[np.ix_(self._rows, self._cols)]
         if self._model is None:
-            plan_sub = _transportation_lp(sub, self._h, self._g)
-        else:
-            self._model.changeColsCost(self._index.size, self._index, sub.ravel())
-            plan_sub = _highs_solution(self._model, "transportation LP")
-            plan_sub = plan_sub.reshape(sub.shape)
-            np.clip(plan_sub, 0.0, None, out=plan_sub)
-        if self._full:
-            return plan_sub
-        plan = np.zeros(self.shape)
-        plan[np.ix_(self._rows, self._cols)] = plan_sub
+            return _transportation_lp(cost, self._h, self._g)
+        self._model.changeColsCost(self._index.size, self._index, cost.ravel())
+        plan = _highs_solution(self._model, "transportation LP").reshape(self.shape)
+        np.clip(plan, 0.0, None, out=plan)
         return plan
 
 
@@ -170,12 +162,28 @@ def _highs_solution(model, what: str) -> np.ndarray:
     return np.array(model.getSolution().col_value)
 
 
+def _binary_program(cost, A, lower, upper) -> np.ndarray:
+    """min cost @ x s.t. lower <= A x <= upper, x binary (feasible by
+    construction)."""
+    size = cost.size
+    if _highs is None:
+        return milp(
+            cost,
+            constraints=[LinearConstraint(A, lower, upper)],
+            integrality=np.ones(size),
+            bounds=Bounds(0.0, 1.0),
+        ).x
+    # HiGHS's default cut and conflict pools (10^4 entries) raised the
+    # process's peak memory by about 10 MB over a few dozen 20 x 20
+    # roundings; a small pool leaves the solve exact
+    model = _highs_model(
+        A, cost, np.ones(size), lower, upper, integer=True, mip_pool_soft_limit=10
+    )
+    return _highs_solution(model, "rounding MILP")
+
+
 def _transportation_lp(c, h, g):
     n, m = c.shape
-    if n == 1:
-        return g[None, :].copy()
-    if m == 1:
-        return h[:, None].copy()
     b = np.concatenate([h, g])
     res = linprog(
         c.ravel(), A_eq=_transport_constraints(n, m), b_eq=b, method="highs-ds"
@@ -304,8 +312,7 @@ def sinkhorn_project(
         ):
             return Coupling(G, h, g)
     raise NoConvergence(
-        f"projection did not reach delta={delta} in {max_sweeps} sweeps",
-        best=Coupling(G, h, g),
+        f"projection did not reach delta={delta} in {max_sweeps} sweeps"
     )
 
 

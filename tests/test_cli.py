@@ -56,6 +56,24 @@ def test_oracle_infeasible_exit_code(tmp_path):
     assert result.exit_code == 4
 
 
+def test_oracle_capped_before_any_assignment_exit_code(tmp_path):
+    # S2 seed 3 is feasible: a node cap that stops the search before its
+    # first assignment is a non-convergence, not an infeasible instance
+    runner = CliRunner()
+    path = tmp_path / "s2.json"
+    result = runner.invoke(
+        main, ["gen", "--spec", "S2", "--seed", "3", "--out", str(path)]
+    )
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["oracle", "--inst", str(path), "--node-cap", "3"])
+    assert result.exit_code == 3, result.output
+    assert "error:" in result.output
+    assert isinstance(result.exception, SystemExit)
+    result = runner.invoke(main, ["oracle", "--inst", str(path)])
+    assert result.exit_code == 0, result.output
+    assert "proven=True" in result.output
+
+
 def test_bench_csv(tmp_path):
     runner = CliRunner()
     out = tmp_path / "results.csv"

@@ -30,6 +30,7 @@ from gwqap.errors import (
     AlphaOutOfRange,
     Infeasible,
     NegativeWeight,
+    NoConvergence,
     NonPositiveExact,
     ValidationError,
 )
@@ -261,12 +262,12 @@ class TestRoundCoupling:
                     assert cqap_objective(inst, moved) >= value - 1e-9
 
     def test_milp_fallback_rounds_alike(self, monkeypatch):
-        import gwqap.cqap as cqap
+        import gwqap.linear_ot as linear_ot
 
         inst = generate_instance(InstanceSpec("S2", 4, 4, SeedPolicy(6)))
         plan = to_gw_problem(inst).default_init()
         fast = round_coupling(inst, plan).x
-        monkeypatch.setattr(cqap, "_highs", None)
+        monkeypatch.setattr(linear_ot, "_highs", None)
         assert np.array_equal(round_coupling(inst, plan).x, fast)
 
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1), (5, 7), (20, 20)])
@@ -326,6 +327,12 @@ class TestSolveExactEnum:
         inst = generate_instance(InstanceSpec("S2", 4, 4, SeedPolicy(3)))
         _, _, proven = solve_exact_enum(inst, node_cap=10)
         assert not proven
+
+    def test_node_cap_before_any_assignment_is_no_convergence(self):
+        # the instance is feasible; the cap stops the search first
+        inst = generate_instance(InstanceSpec("S2", 4, 4, SeedPolicy(3)))
+        with pytest.raises(NoConvergence):
+            solve_exact_enum(inst, node_cap=3)
 
     @pytest.mark.parametrize("sid,seed", sorted(ORACLE_PINS))
     def test_pinned_to_subset_enumeration(self, sid, seed):

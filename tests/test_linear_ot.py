@@ -98,23 +98,39 @@ class TestSolveExactOt:
 
 
 class TestTransportLp:
-    def _random(self, rng, n, m):
-        h = normalize_masses(rng.random(n) + 0.2)
-        g = normalize_masses(rng.random(m) + 0.2)
-        return h, g
+    # (n, m, zero-mass atoms of h, of g): the generic case, then degenerate
+    # inputs, which the one HiGHS model solves like any other
+    CASES = [
+        (6, 7, [], []),
+        (6, 7, [2], []),
+        (6, 7, [], [0, 6]),
+        (4, 5, [1, 3], [2]),
+        (1, 5, [], []),
+        (5, 1, [], []),
+        (1, 4, [], [1]),
+        (1, 1, [], []),
+    ]
+
+    def _random(self, rng, n, m, zero_h=(), zero_g=()):
+        h = rng.random(n) + 0.2
+        g = rng.random(m) + 0.2
+        h[list(zero_h)] = 0.0
+        g[list(zero_g)] = 0.0
+        return normalize_masses(h), normalize_masses(g)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_warm_solves_match_linprog(self, seed):
         rng = np.random.default_rng(seed)
-        h, g = self._random(rng, 6, 7)
-        model = TransportLp(h, g)
-        for _ in range(8):
-            cost = rng.uniform(0, 10, size=(6, 7))
-            coupling, obj = solve_exact_ot(cost, h, g, model=model)
-            ref = _transportation_lp(cost, h.weights, g.weights)
-            assert obj == pytest.approx(float((cost * ref).sum()), abs=1e-12)
-            assert np.count_nonzero(coupling.plan > 1e-15) <= 6 + 7 - 1
-            assert max(marginal_violation(coupling)) <= 1e-9
+        for n, m, zero_h, zero_g in self.CASES:
+            h, g = self._random(rng, n, m, zero_h, zero_g)
+            model = TransportLp(h, g)
+            for _ in range(8):
+                cost = rng.uniform(0, 10, size=(n, m))
+                coupling, obj = solve_exact_ot(cost, h, g, model=model)
+                ref = _transportation_lp(cost, h.weights, g.weights)
+                assert obj == pytest.approx(float((cost * ref).sum()), abs=1e-12)
+                assert np.count_nonzero(coupling.plan > 1e-15) <= n + m - 1
+                assert max(marginal_violation(coupling)) <= 1e-9
 
     def test_cold_solve_equals_linprog_plan(self):
         rng = np.random.default_rng(7)
