@@ -14,7 +14,7 @@ from gwqap import (
 )
 import gwqap.ga
 from gwqap.cqap import AssignmentMatrix
-from gwqap.ga import UNASSIGNED_PENALTY, _order_crossover, _swap_mutation
+from gwqap.ga import UNASSIGNED_PENALTY, _Draws, _order_crossover, _swap_mutation
 from tests.test_cqap import make_instance
 
 
@@ -124,14 +124,46 @@ class TestOperators:
     def test_permutation_invariant_preserved(self):
         # 10^4 random crossover+mutation applications keep bijections
         rng = np.random.default_rng(0)
-        m = 7
-        target = set(range(m))
-        for _ in range(10_000):
-            p1 = rng.permutation(m)
-            p2 = rng.permutation(m)
-            child = _order_crossover(p1, p2, rng)
-            child = _swap_mutation(child, rng)
-            assert set(child.tolist()) == target
+        draws = _Draws(rng)
+        for m in (1, 2, 7):
+            target = tuple(range(m))
+            for _ in range(10_000):
+                p1 = tuple(rng.permutation(m).tolist())
+                p2 = tuple(rng.permutation(m).tolist())
+                child = _order_crossover(p1, p2, draws)
+                child = _swap_mutation(child, draws)
+                assert type(child) is tuple
+                assert tuple(sorted(child)) == target
+
+
+class TestDraws:
+    BOUNDS = (1, 2, 3, 50, 2**31 + 1, 2**32)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_stream_as_generator(self, seed):
+        # interleaved below/unit give the values integers/random give on a
+        # twin generator; at 2^31 + 1 about half of all draws are rejected
+        policy = SeedPolicy(seed)
+        rng, twin = policy.generator(), policy.generator()
+        if seed % 2:  # may leave a buffered 32-bit half in the bit generator
+            assert np.array_equal(rng.permutation(seed + 4), twin.permutation(seed + 4))
+        draws = _Draws(rng)
+        order = np.random.default_rng(100 + seed)
+        for _ in range(3000):
+            if order.random() < 0.25:
+                got, want = draws.unit(), twin.random()
+            else:
+                n = self.BOUNDS[order.integers(len(self.BOUNDS))]
+                got, want = draws.below(n), twin.integers(0, n)
+            assert got == want
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_rejects_ranges_numpy_draws_on_64_bits(self):
+        draws = _Draws(SeedPolicy(0).generator())
+        with pytest.raises(ValueError):
+            draws.below(2**32 + 1)
+        with pytest.raises(ValueError):
+            draws.below(0)
 
 
 class TestSolveGa:
@@ -219,7 +251,9 @@ def _uncached_ga(inst, config):
                 else:
                     child = p1
                 if rng.random() < config.mutation_rate:
-                    child = _swap_mutation(child, rng)
+                    i, j = rng.integers(0, child.shape[0], size=2)
+                    child = child.copy()
+                    child[i], child[j] = child[j], child[i]
                 children.append(child)
             pop = children
         distinct.update(p.tobytes() for p in pop)
@@ -255,12 +289,26 @@ class TestDecodeCache:
         assert decoded[-1] in decoded[:-1]
         assert decoded[-1][1] == got_x.x.tobytes()
 
-    @pytest.mark.parametrize("tid", ["S1", "S2", "S3", "M1"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bitwise_equal_to_uncached_loop(self, tid, seed):
+    BITWISE_CASES = {
+        **{f"{seed}-{tid}": (tid, seed, {}) for seed in (0, 1, 2) for tid in ("M1", "S1", "S2", "S3")},
+        "tournament-is-population": ("S2", 3, dict(tournament_size=50)),
+        "no-crossover": ("S2", 4, dict(crossover_rate=0.0)),
+        "always-crossover": ("S3", 5, dict(crossover_rate=1.0)),
+        "always-mutate": ("M1", 6, dict(mutation_rate=1.0)),
+        "no-generations": ("S1", 7, dict(population=2, generations=0, tournament_size=2)),
+        "one-task": ((3, 1), 8, {}),  # numpy's integers(0, 1) draws nothing
+    }
+
+    @pytest.mark.parametrize("tid,seed,params", list(BITWISE_CASES.values()), ids=list(BITWISE_CASES))
+    def test_bitwise_equal_to_uncached_loop(self, tid, seed, params):
         policy = SeedPolicy(seed)
-        inst = generate_instance(InstanceSpec.named(tid, policy))
-        config = GaConfig(population=50, generations=50, seed=policy.substream(6000))
+        if isinstance(tid, tuple):
+            spec = InstanceSpec("T", *tid, policy)
+        else:
+            spec = InstanceSpec.named(tid, policy)
+        inst = generate_instance(spec)
+        params = {"population": 50, "generations": 50, **params}
+        config = GaConfig(**params, seed=policy.substream(6000))
         want_x, want_obj, want_history, _ = _uncached_ga(inst, config)
         got_x, got_obj, got_history = solve_ga(inst, config)
         assert got_x.x.dtype == want_x.x.dtype
