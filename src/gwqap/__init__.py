@@ -46,7 +46,7 @@ from .cqap import (
     to_fgw_problem,
     to_gw_problem,
 )
-from .ga import Chromosome, GaConfig, decode, solve_ga
+from .ga import GaConfig, decode, solve_ga
 from .bench import (
     InstanceSpec,
     MethodSpec,

@@ -2,7 +2,7 @@
 
 All arithmetic is float64. Tolerances are fixed library-wide: histogram
 mass HIST_TOL, coupling marginals MARGINAL_TOL (post-solve, solver inits,
-Sinkhorn's default), matrix symmetry SYMMETRY_TOL, polytope projection
+Sinkhorn's stopping test), matrix symmetry SYMMETRY_TOL, polytope projection
 delta PROJECTION_DELTA.
 """
 
@@ -134,11 +134,10 @@ def validate_sym_cost(entries) -> SymCostMatrix:
 
 @dataclass(frozen=True)
 class MmSpace:
-    """Metric-measure space: structure matrix, mass histogram, optional features."""
+    """Metric-measure space: structure matrix and mass histogram."""
 
     structure: SymCostMatrix
     mass: Histogram
-    features: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -150,8 +149,6 @@ class MmSpace:
                 f"structure is {self.structure.n}x{self.structure.n} "
                 f"but mass has {self.mass.n} atoms"
             )
-        if self.features is not None and self.features.shape[0] != self.mass.n:
-            raise DimensionMismatch("feature row count must match mass length")
 
 
 @dataclass(frozen=True)

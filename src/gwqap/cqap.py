@@ -141,12 +141,10 @@ def to_gw_problem(inst: CqapInstance) -> GwProblem:
     source = MmSpace(
         structure=SymCostMatrix(flow),
         mass=normalize_masses(inst.capacity),
-        features=inst.agent_pos,
     )
     target = MmSpace(
         structure=SymCostMatrix(distance),
         mass=normalize_masses(inst.demand),
-        features=inst.task_pos,
     )
     concavity = _spectral_radius(flow) * _spectral_radius(distance)
     return GwProblem(

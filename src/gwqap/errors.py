@@ -59,7 +59,7 @@ class NoConvergence(GwqapError):
 
 
 class NumericalUnderflow(GwqapError):
-    """Scaling kernel underflowed to zero; regularization is too small."""
+    """Alternating scaling ended on a non-finite plan (epsilon too small)."""
 
 
 class Infeasible(GwqapError):

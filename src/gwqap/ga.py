@@ -45,19 +45,15 @@ class GaConfig:
             raise ValueError("tournament_size must be in [2, population]")
 
 
-@dataclass(frozen=True)
-class Chromosome:
-    priority: np.ndarray  # permutation of task indices
-
-
-def decode(inst: CqapInstance, chrom: Chromosome) -> AssignmentMatrix:
-    """Greedy capacity-feasible decoding of a priority permutation."""
+def decode(inst: CqapInstance, priority) -> AssignmentMatrix:
+    """Greedy capacity-feasible decoding of a priority permutation (a
+    sequence of task indices)."""
     F = inst.flow.entries
     D = inst.distance.entries
     own = inst.own_cost
     x = np.zeros((inst.n, inst.m))
     residual = inst.capacity.copy()
-    for j in chrom.priority:
+    for j in priority:
         feasible = np.flatnonzero(residual >= inst.demand[j])
         if feasible.size == 0:
             continue
@@ -136,7 +132,7 @@ def solve_ga(
 
     def fitness(p):
         if p not in seen:
-            x = decode(inst, Chromosome(np.array(p)))
+            x = decode(inst, p)
             unassigned = int((x.x.sum(axis=0) == 0).sum())
             seen[p] = cqap_objective(inst, x) + UNASSIGNED_PENALTY * unassigned
         return seen[p]
@@ -155,5 +151,5 @@ def solve_ga(
         fits = [fitness(p) for p in pop]
         history.append(float(min(fits)))  # elitism keeps this non-increasing
 
-    best_x = decode(inst, Chromosome(np.array(pop[fits.index(min(fits))])))
+    best_x = decode(inst, pop[fits.index(min(fits))])
     return best_x, cqap_objective(inst, best_x), np.array(history)

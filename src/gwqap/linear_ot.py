@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,14 +197,9 @@ def _transportation_lp(c, h, g):
 
 
 def sinkhorn(
-    cost,
-    h: Histogram,
-    g: Histogram,
-    epsilon: float,
-    max_iter: int = 10_000,
-    tol: float = MARGINAL_TOL,
+    cost, h: Histogram, g: Histogram, epsilon: float, max_iter: int = 10_000
 ) -> tuple[Coupling, float, int, bool]:
-    """Entropic OT via Sinkhorn scaling.
+    """Entropic OT via Sinkhorn scaling, to the MARGINAL_TOL contract.
 
     Returns (coupling, objective, iterations, converged) where the objective
     is the unregularized transport cost <C, pi> of the returned plan. Runs in
@@ -213,49 +209,59 @@ def sinkhorn(
     n, m = h.n, g.n
     if c.shape != (n, m):
         raise DimensionMismatch(f"cost is {c.shape}, marginals need ({n}, {m})")
-    if epsilon <= 0 or tol <= 0:
-        raise ValueError("epsilon and tol must be positive")
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
 
-    hw, gw = h.weights, g.weights
-    log_domain = np.abs(c).max(initial=0.0) / epsilon > _LOG_DOMAIN_RATIO
-    if log_domain:
-        plan, iters, converged = _sinkhorn_log(c, hw, gw, epsilon, max_iter, tol)
+    if np.abs(c).max(initial=0.0) / epsilon > _LOG_DOMAIN_RATIO:
+        plan, iters, converged = _on_support(
+            _sinkhorn_log, c, h.weights, g.weights, epsilon, max_iter
+        )
     else:
-        plan, iters, converged = _sinkhorn_scaling(c, hw, gw, epsilon, max_iter, tol)
-
+        # every kernel entry is at least exp(-_LOG_DOMAIN_RATIO) > 0
+        plan, iters, converged = _on_support(
+            _scale, np.exp(-c / epsilon), h.weights, g.weights, MARGINAL_TOL, max_iter
+        )
     objective = float((c * plan).sum())
     return Coupling(plan, h, g), objective, iters, converged
 
 
-def _sinkhorn_scaling(c, h, g, epsilon, max_iter, tol):
-    K = np.exp(-c / epsilon)
-    pos_r = h > 0
-    pos_c = g > 0
-    if K[np.ix_(pos_r, pos_c)].max(initial=0.0) == 0.0:
-        raise NumericalUnderflow(
-            "Gibbs kernel underflowed to zero; increase epsilon"
-        )
-    u = np.ones_like(h)
-    v = np.ones_like(g)
-    for it in range(1, max_iter + 1):
-        Kv = K @ v
-        u = np.divide(h, Kv, out=np.zeros_like(h), where=Kv > 0)
-        Ktu = K.T @ u
-        v = np.divide(g, Ktu, out=np.zeros_like(g), where=Ktu > 0)
-        plan = u[:, None] * K * v[None, :]
-        row_err = np.abs(plan.sum(axis=1) - h).max()
-        col_err = np.abs(plan.sum(axis=0) - g).max()
-        if max(row_err, col_err) < tol:
-            return plan, it, True
-        if not np.all(np.isfinite(plan)):
-            raise NumericalUnderflow("Sinkhorn scaling diverged; increase epsilon")
-    return plan, max_iter, False
+def _on_support(solve, a, h, g, *args):
+    """``solve(a, h, g, *args) -> (plan, iterations, converged)`` run on a
+    copy of the block of positive-mass atoms, its plan scattered back into
+    zeros: a zero-mass atom's row or column is all zeros."""
+    rows, cols = h > 0, g > 0
+    block = np.ix_(rows, cols)
+    plan, iterations, converged = solve(a[block], h[rows], g[cols], *args)
+    full = np.zeros(a.shape)
+    full[block] = plan
+    return full, iterations, converged
 
 
-def _sinkhorn_log(c, h, g, epsilon, max_iter, tol):
-    with np.errstate(divide="ignore"):
-        log_h = np.log(h)
-        log_g = np.log(g)
+def _scale(G, h, g, tol, max_sweeps):
+    """Alternately rescale the rows, then the columns, of the positive matrix
+    G in place until both marginal inf-errors drop below tol.
+
+    Returns (G, sweeps, converged). Raises NumericalUnderflow on the first
+    sweep that leaves a non-finite entry, which a row sum then shows.
+    """
+    # the row sums of one sweep's stopping test scale the next sweep's rows
+    rows = G.sum(axis=1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for sweep in range(1, max_sweeps + 1):
+            G *= (h / rows)[:, None]
+            G *= (g / G.sum(axis=0))[None, :]
+            rows = G.sum(axis=1)
+            row_err = np.abs(rows - h).max()
+            if row_err < tol and np.abs(G.sum(axis=0) - g).max() < tol:
+                return G, sweep, True
+            if not math.isfinite(row_err):
+                raise NumericalUnderflow("alternating scaling diverged")
+    return G, max_sweeps, False
+
+
+def _sinkhorn_log(c, h, g, epsilon, max_iter):
+    log_h = np.log(h)
+    log_g = np.log(g)
     f = np.zeros_like(h)
     gg = np.zeros_like(g)
     M = -c / epsilon
@@ -264,13 +270,10 @@ def _sinkhorn_log(c, h, g, epsilon, max_iter, tol):
         gg = epsilon * log_g - epsilon * _logsumexp_rows(
             (M + f[:, None] / epsilon).T
         )
-        log_plan = M + f[:, None] / epsilon + gg[None, :] / epsilon
-        plan = np.exp(log_plan)
-        plan[h <= 0, :] = 0.0
-        plan[:, g <= 0] = 0.0
+        plan = np.exp(M + f[:, None] / epsilon + gg[None, :] / epsilon)
         row_err = np.abs(plan.sum(axis=1) - h).max()
         col_err = np.abs(plan.sum(axis=0) - g).max()
-        if max(row_err, col_err) < tol:
+        if max(row_err, col_err) < MARGINAL_TOL:
             return plan, it, True
     return plan, max_iter, False
 
@@ -291,29 +294,20 @@ def sinkhorn_project(
     """Project a strictly positive matrix onto the coupling polytope.
 
     Alternates row then column rescaling until both marginal inf-errors drop
-    below delta. Used to turn Uniform(0,1)+jitter samples into valid random
-    initial couplings.
+    below delta. Zero-mass atoms get all-zero rows and columns. Used to turn
+    Uniform(0,1)+jitter samples into valid random initial couplings.
     """
-    G = np.asarray(raw, dtype=np.float64).copy()
+    G = np.asarray(raw, dtype=np.float64)
     if G.shape != (h.n, g.n):
         raise DimensionMismatch(f"raw is {G.shape}, marginals need ({h.n}, {g.n})")
     if np.any(G <= 0):
         raise ValueError("all entries of raw must be strictly positive")
-    hw, gw = h.weights, g.weights
-    # the row sums of one sweep's stopping test scale the next sweep's rows
-    rows = G.sum(axis=1)
-    for _ in range(max_sweeps):
-        G *= (hw / rows)[:, None]
-        G *= (gw / G.sum(axis=0))[None, :]
-        rows = G.sum(axis=1)
-        if (
-            np.abs(rows - hw).max() < delta
-            and np.abs(G.sum(axis=0) - gw).max() < delta
-        ):
-            return Coupling(G, h, g)
-    raise NoConvergence(
-        f"projection did not reach delta={delta} in {max_sweeps} sweeps"
-    )
+    plan, _, converged = _on_support(_scale, G, h.weights, g.weights, delta, max_sweeps)
+    if not converged:
+        raise NoConvergence(
+            f"projection did not reach delta={delta} in {max_sweeps} sweeps"
+        )
+    return Coupling(plan, h, g)
 
 
 def _sqrtm_psd(a):

@@ -151,12 +151,6 @@ class TestToGwProblem:
         # a vertex of the transportation polytope has at most n + m - 1 atoms
         assert np.count_nonzero(sol.coupling.plan > 1e-12) <= inst.n + inst.m - 1
 
-    def test_features_are_positions(self):
-        inst = generate_instance(InstanceSpec("S1", 3, 3, SeedPolicy(5)))
-        prob = to_gw_problem(inst)
-        assert np.array_equal(prob.source.features, inst.agent_pos)
-        assert np.array_equal(prob.target.features, inst.task_pos)
-
 
 class TestToFgwProblem:
     def test_feature_cost_is_linear_cost(self):

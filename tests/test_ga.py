@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gwqap import (
-    Chromosome,
     GaConfig,
     InstanceSpec,
     SeedPolicy,
@@ -21,20 +20,20 @@ from tests.test_cqap import make_instance
 class TestDecode:
     def test_one_by_one(self):
         inst = make_instance([4], [2], linear=[[1.0]])
-        x = decode(inst, Chromosome(np.array([0])))
+        x = decode(inst, [0])
         assert np.array_equal(x.x, [[1]])
 
     def test_nearest_agent_when_structure_free(self):
         # F = D = 0 and ample capacity: marginal increase is the linear cost
         linear = np.array([[1.0, 9.0], [8.0, 2.0]])
         inst = make_instance([10, 10], [1, 1], linear=linear)
-        x = decode(inst, Chromosome(np.array([0, 1])))
+        x = decode(inst, [0, 1])
         assert np.array_equal(x.x, np.eye(2, dtype=np.int64))
 
     def test_priority_orders_both_feasible(self):
         inst = generate_instance(InstanceSpec("S1", 3, 3, SeedPolicy(0)))
         for priority in (np.array([0, 1, 2]), np.array([2, 1, 0])):
-            x = decode(inst, Chromosome(priority))
+            x = decode(inst, priority)
             ok, _ = check_feasible(inst, x)
             assert ok
             assert cqap_objective(inst, x) >= 0.0
@@ -63,7 +62,7 @@ class TestDecode:
             inst = generate_instance(InstanceSpec.named(tid, SeedPolicy(1)))
             for _ in range(25):
                 priority = rng.permutation(inst.m)
-                got = decode(inst, Chromosome(priority)).x
+                got = decode(inst, priority).x
                 assert np.array_equal(got, reference(inst, priority))
 
     def test_counts_the_self_term(self):
@@ -72,7 +71,7 @@ class TestDecode:
             [1, 1], [1], flow=[[5.0, 0.0], [0.0, 0.0]], distance=[[1.0]],
             linear=[[0.0], [1.0]],
         )
-        x = decode(inst, Chromosome(np.array([0])))
+        x = decode(inst, [0])
         assert np.array_equal(x.x, [[0], [1]])
         assert cqap_objective(inst, x) == 1.0
 
@@ -107,7 +106,7 @@ class TestDecode:
                     linear=rng.uniform(0.0, 5.0, size=(n, m)),
                 )
                 priority = rng.permutation(m)
-                got = decode(inst, Chromosome(priority)).x
+                got = decode(inst, priority).x
                 assert np.array_equal(got, reference(inst, priority))
 
     def test_own_cost_computed_once(self):
@@ -256,8 +255,8 @@ def _uncached_ga(inst, config):
                     child[i], child[j] = child[j], child[i]
                 children.append(child)
             pop = children
-        distinct.update(p.tobytes() for p in pop)
-        decoded = [decode(inst, Chromosome(p)) for p in pop]
+        distinct.update(tuple(p.tolist()) for p in pop)
+        decoded = [decode(inst, p) for p in pop]
         fits = np.array([fitness(x) for x in decoded])
         history.append(float(fits.min()))
 
@@ -276,9 +275,9 @@ class TestDecodeCache:
 
         decoded = []
 
-        def counting(inst, chrom):
-            x = decode(inst, chrom)
-            decoded.append((chrom.priority.tobytes(), x.x.tobytes()))
+        def counting(inst, priority):
+            x = decode(inst, priority)
+            decoded.append((priority, x.x.tobytes()))
             return x
 
         monkeypatch.setattr(gwqap.ga, "decode", counting)

@@ -39,11 +39,17 @@ def naive_loss(C1, C2, plan):
     return total
 
 
-def random_space(rng, n, with_features=False):
+def random_space_and_points(rng, n):
+    """A space of n random points in the plane (Euclidean distances, random
+    masses), and the points."""
     pts = rng.uniform(0, 10, size=(n, 2))
     d = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(-1))
     mass = normalize_masses(rng.random(n) + 0.2)
-    return MmSpace(SymCostMatrix(d), mass, features=pts if with_features else None)
+    return MmSpace(SymCostMatrix(d), mass), pts
+
+
+def random_space(rng, n):
+    return random_space_and_points(rng, n)[0]
 
 
 def random_plan(rng, h, g):
@@ -378,6 +384,17 @@ class TestMultiInit:
         assert sol.objective <= 1e-8
         assert sol.failed_trials == ()
 
+    def test_zero_mass_atoms_start_every_trial(self):
+        rng = np.random.default_rng(73)
+        src, tgt = random_space(rng, 5), random_space(rng, 4)
+        src = MmSpace(src.structure, normalize_masses([1.0, 0.0, 2.0, 3.0, 1.0]))
+        tgt = MmSpace(tgt.structure, normalize_masses([2.0, 1.0, 0.0, 1.0]))
+        sol = solve_gw_multi_init(
+            GwProblem(src, tgt), MultiInitConfig(trials=5, seed=SeedPolicy(3))
+        )
+        assert sol.failed_trials == ()
+        assert max(marginal_violation(sol.coupling)) <= 1e-9
+
     def test_dominates_every_trial(self):
         rng = np.random.default_rng(81)
         src, tgt = random_space(rng, 6), random_space(rng, 5)
@@ -501,11 +518,9 @@ class TestEntropicGw:
 class TestFgw:
     def _instance(self, seed, n=4, m=5):
         rng = np.random.default_rng(seed)
-        src = random_space(rng, n, with_features=True)
-        tgt = random_space(rng, m, with_features=True)
-        M = np.sqrt(
-            ((src.features[:, None] - tgt.features[None, :]) ** 2).sum(-1)
-        )
+        src, p = random_space_and_points(rng, n)
+        tgt, q = random_space_and_points(rng, m)
+        M = np.sqrt(((p[:, None] - q[None, :]) ** 2).sum(-1))
         return src, tgt, M
 
     def test_alpha_zero_equals_exact_ot(self):

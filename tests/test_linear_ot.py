@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,10 @@ from gwqap import (
     w2_gaussian,
 )
 from gwqap import linear_ot
-from gwqap.errors import DimensionMismatch, NoConvergence, NonSquare, NotPSD
+from gwqap.core import MARGINAL_TOL, PROJECTION_DELTA
+from gwqap.errors import (
+    DimensionMismatch, NoConvergence, NonSquare, NotPSD, NumericalUnderflow,
+)
 from gwqap.linear_ot import TransportLp, _transportation_lp
 
 UNIF2 = validate_histogram([0.5, 0.5])
@@ -208,6 +212,15 @@ class TestSinkhorn:
         assert max(row, col) < 1e-9
         assert obj == pytest.approx(7.5, abs=1e-3)
 
+    def test_divergence_raises_without_warnings(self):
+        # each row's entries are e^400 and e^-400 (within the kernel path's
+        # range), so the first row scaling underflows column 1 to zero
+        c = np.array([[-400.0, 400.0], [-400.0, 400.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalUnderflow):
+                sinkhorn(c, UNIF2, UNIF2, epsilon=1.0)
+
     def test_epsilon_consistency_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(3):
@@ -282,6 +295,42 @@ def test_projection_bitwise_equals_four_reduction_loop(n, m, seed, delta):
             sinkhorn_project(raw, h, g, delta=delta)
     else:
         assert np.array_equal(sinkhorn_project(raw, h, g, delta=delta).plan, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    m=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    zero_in=st.sampled_from(["h", "g", "both"]),
+)
+def test_zero_mass_atoms_keep_the_marginal_contract(n, m, seed, zero_in):
+    rng = np.random.default_rng(seed)
+
+    def masses(k, with_zeros):
+        w = rng.random(k) + 0.2
+        if with_zeros:
+            zero = rng.random(k) < 0.5
+            some = rng.permutation(k)
+            zero[some[0]], zero[some[1]] = True, False
+            w[zero] = 0.0
+        return normalize_masses(w)
+
+    h = masses(n, zero_in in ("h", "both"))
+    g = masses(m, zero_in in ("g", "both"))
+    # max|C|/epsilon is about 400 at epsilon 1 (kernel scaling) and about
+    # 800 at epsilon 0.5 (log domain), while the costs vary by at most 2
+    # epsilon, so both converge in a few iterations
+    cost = 400.0 + rng.uniform(0, 1, size=(n, m))
+    raw = rng.uniform(0, 1, size=(n, m)) + 1e-6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = [(sinkhorn(cost, h, g, eps)[0], MARGINAL_TOL) for eps in (1.0, 0.5)]
+        results.append((sinkhorn_project(raw, h, g), PROJECTION_DELTA))
+    for coupling, tol in results:
+        assert max(marginal_violation(coupling)) < tol
+        assert np.all(coupling.plan[h.weights == 0] == 0.0)
+        assert np.all(coupling.plan[:, g.weights == 0] == 0.0)
 
 
 class TestW2Gaussian:
