@@ -51,14 +51,13 @@ from .bench import (
     InstanceSpec,
     MethodSpec,
     SolveReport,
-    alpha_sweep,
     emit_report,
-    epsilon_sweep,
     generate_instance,
     instance_from_json,
     instance_to_json,
     parse_reports,
     run_suite,
+    sweep,
 )
 
 __version__ = "0.1.0"

@@ -182,8 +182,9 @@ class SolveReport:
 CSV_COLUMNS = [f.name for f in fields(SolveReport)]
 
 
-def _pairwise(points):
-    diff = points[:, None, :] - points[None, :, :]
+def _distances(a, b):
+    """Euclidean distances between the rows of a and the rows of b."""
+    diff = a[:, None, :] - b[None, :, :]
     return np.sqrt((diff**2).sum(axis=-1))
 
 
@@ -203,11 +204,9 @@ def generate_instance(spec: InstanceSpec) -> CqapInstance:
     task_pos = rng.uniform(0.0, 10.0, size=(m, 2))
     capacity = rng.integers(_CAP_LOW, _CAP_HIGH + 1, size=n)
 
-    F = SymCostMatrix(_pairwise(agent_pos))
-    D_tasks = _pairwise(task_pos)
-    C = np.sqrt(
-        ((agent_pos[:, None, :] - task_pos[None, :, :]) ** 2).sum(axis=-1)
-    )
+    F = SymCostMatrix(_distances(agent_pos, agent_pos))
+    D_tasks = _distances(task_pos, task_pos)
+    C = _distances(agent_pos, task_pos)
 
     for _ in range(_GENERATION_ATTEMPTS):
         demand = rng.integers(_CAP_LOW, _CAP_HIGH + 1, size=m)
@@ -390,38 +389,22 @@ def _method_stream(method: MethodSpec) -> int:
     return 1000 * (list(METHODS).index(method.name) + 1)
 
 
-def epsilon_sweep(
-    spec: InstanceSpec,
-    inst: CqapInstance,
-    epsilons: list[float],
-    measure_time: bool = True,
+def sweep(
+    spec: InstanceSpec, inst: CqapInstance, method: str, values: list
 ) -> list[SolveReport]:
-    """Entropic-GW regularization sweep on ``inst``; ``spec`` names the rows
-    and seeds the cells."""
-    return _sweep(spec, inst, "egw", epsilons, measure_time)
-
-
-def alpha_sweep(
-    spec: InstanceSpec,
-    inst: CqapInstance,
-    alphas: list[float],
-    measure_time: bool = True,
-) -> list[SolveReport]:
-    """Fused-GW trade-off sweep on ``inst``; ``spec`` names the rows and
-    seeds the cells."""
-    return _sweep(spec, inst, "fgw", alphas, measure_time)
-
-
-def _sweep(spec, inst, method, values, measure_time):
-    """One ``method`` cell per grid value of its one parameter; the values
-    are checked by ``MethodSpec``."""
-    (key,) = METHODS[method].defaults
+    """One timed ``method`` cell on ``inst`` per grid value of the method's
+    one parameter (EGW's epsilon, FGW's alpha); ``spec`` names the rows and
+    seeds the cells, and ``MethodSpec`` checks the values."""
+    params = METHODS[method].defaults if method in METHODS else {}
+    if len(params) != 1:
+        raise ValidationError(f"method {method!r} does not take exactly one parameter")
+    (key,) = params
     if not values:
         raise NonEmptyRequired(f"{key} grid must be non-empty")
     if len(set(values)) != len(values):
         raise ValidationError(f"duplicate {key} values in grid")
     methods = [MethodSpec(method, {key: v}) for v in values]
-    return _solve_cells([(spec, inst)], methods, 1, measure_time)
+    return _solve_cells([(spec, inst)], methods, 1, True)
 
 
 def _fmt(value) -> str:

@@ -19,15 +19,14 @@ from .bench import (
     NAMED_SPECS,
     InstanceSpec,
     MethodSpec,
-    alpha_sweep,
     emit_report,
-    epsilon_sweep,
     generate_instance,
     instance_from_json,
     instance_to_json,
     run_suite,
     solve_with_method,
     SolveReport,
+    sweep as sweep_cells,
 )
 from .core import SeedPolicy
 from .cqap import solve_exact_enum
@@ -146,21 +145,25 @@ def bench(specs, methods, seed, fmt, workers, no_timing, out):
     click.echo(f"wrote {len(reports)} reports to {out}")
 
 
+# sweep's --kind -> the one-parameter method it sweeps
+_SWEEP_METHODS = {"epsilon": "egw", "alpha": "fgw"}
+
+
 @main.command()
-@click.option("--kind", type=click.Choice(["epsilon", "alpha"]), required=True)
+@click.option("--kind", type=click.Choice(list(_SWEEP_METHODS)), required=True)
 @click.option("--inst", "inst_path", type=click.Path(exists=True), required=True)
 @click.option("--grid", required=True, help="Comma-separated values, e.g. 0.3,0.5,0.8.")
 @click.option("--out", type=click.Path(), required=True)
 def sweep(kind, inst_path, grid, out):
     """Parameter sweep (EGW epsilon or FGW alpha) on the file's instance.
 
-    EGW and FGW draw no random numbers; the rows carry the file's seed.
+    ``bench.sweep`` runs and times one cell per value. EGW and FGW draw no
+    random numbers; the rows carry the file's seed.
     """
     inst, test_id, inst_seed = _load_instance(inst_path)
     values = [float(v) for v in grid.split(",")]
     spec = InstanceSpec(test_id, inst.n, inst.m, SeedPolicy(inst_seed))
-    sweep_fn = epsilon_sweep if kind == "epsilon" else alpha_sweep
-    reports = sweep_fn(spec, inst, values)
+    reports = sweep_cells(spec, inst, _SWEEP_METHODS[kind], values)
     with open(out, "wb") as fh:
         fh.write(emit_report(reports, "csv"))
     click.echo(f"wrote {len(reports)} sweep rows to {out}")

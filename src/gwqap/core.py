@@ -3,7 +3,7 @@
 All arithmetic is float64. Tolerances are fixed library-wide: histogram
 mass HIST_TOL, coupling marginals MARGINAL_TOL (post-solve, solver inits,
 Sinkhorn's stopping test), matrix symmetry SYMMETRY_TOL, polytope projection
-delta PROJECTION_DELTA.
+delta PROJECTION_DELTA within at most PROJECTION_MAX_SWEEPS scaling sweeps.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ HIST_TOL = 1e-12
 MARGINAL_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 PROJECTION_DELTA = 1e-12
+PROJECTION_MAX_SWEEPS = 10_000
 
 
 def _as_float_array(x, ndim):

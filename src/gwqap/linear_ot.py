@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment
 from scipy.optimize import linprog, milp
 
-from .core import MARGINAL_TOL, PROJECTION_DELTA, Coupling, Histogram
+from .core import MARGINAL_TOL, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS, Coupling, Histogram
 from .errors import DimensionMismatch, NoConvergence, NonSquare, NumericalUnderflow
 
 # the HiGHS bindings scipy ships (a private module; linprog and milp are the
@@ -284,28 +284,27 @@ def _logsumexp_rows(M):
     return (mx + np.log(np.exp(M - mx).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def sinkhorn_project(
-    raw,
-    h: Histogram,
-    g: Histogram,
-    delta: float = PROJECTION_DELTA,
-    max_sweeps: int = 10_000,
-) -> Coupling:
+def sinkhorn_project(raw, h: Histogram, g: Histogram) -> Coupling:
     """Project a strictly positive matrix onto the coupling polytope.
 
     Alternates row then column rescaling until both marginal inf-errors drop
-    below delta. Zero-mass atoms get all-zero rows and columns. Used to turn
-    Uniform(0,1)+jitter samples into valid random initial couplings.
+    below PROJECTION_DELTA, or raises NoConvergence after
+    PROJECTION_MAX_SWEEPS sweeps. Zero-mass atoms get all-zero rows and
+    columns. Used to turn Uniform(0,1)+jitter samples into valid random
+    initial couplings.
     """
     G = np.asarray(raw, dtype=np.float64)
     if G.shape != (h.n, g.n):
         raise DimensionMismatch(f"raw is {G.shape}, marginals need ({h.n}, {g.n})")
     if np.any(G <= 0):
         raise ValueError("all entries of raw must be strictly positive")
-    plan, _, converged = _on_support(_scale, G, h.weights, g.weights, delta, max_sweeps)
+    plan, _, converged = _on_support(
+        _scale, G, h.weights, g.weights, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS
+    )
     if not converged:
         raise NoConvergence(
-            f"projection did not reach delta={delta} in {max_sweeps} sweeps"
+            f"projection did not reach delta={PROJECTION_DELTA} "
+            f"in {PROJECTION_MAX_SWEEPS} sweeps"
         )
     return Coupling(plan, h, g)
 

@@ -228,7 +228,7 @@ def test_criterion_6_marginal_feasibility():
         h = normalize_masses(rng.random(6) + 0.2)
         g = normalize_masses(rng.random(7) + 0.2)
         raw = rng.uniform(0, 1, size=(6, 7)) + 1e-6
-        row, col = marginal_violation(sinkhorn_project(raw, h, g, delta=1e-12))
+        row, col = marginal_violation(sinkhorn_project(raw, h, g))
         worst_proj = max(worst_proj, row, col)
     check(
         6,

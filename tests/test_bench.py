@@ -8,9 +8,7 @@ from gwqap import (
     MethodSpec,
     SeedPolicy,
     SolveReport,
-    alpha_sweep,
     emit_report,
-    epsilon_sweep,
     gap_percent,
     generate_instance,
     instance_from_json,
@@ -19,6 +17,7 @@ from gwqap import (
     round_coupling,
     run_suite,
     solve_exact_ot,
+    sweep,
     to_gw_problem,
 )
 from gwqap.bench import NAMED_SPECS, CSV_COLUMNS, solve_with_method
@@ -101,6 +100,32 @@ class TestRunSuite:
         reports = run_suite(specs, [MethodSpec("exact")], measure_time=False)
         assert reports[0].status == "SkippedTooLarge"
         assert reports[0].gap_pct is None
+
+    def test_failed_cells_become_status_rows(self, monkeypatch):
+        import gwqap.bench as bench
+        from gwqap.errors import NoConvergence
+        from tests.test_cqap import make_instance
+
+        # no agent holds task 1's demand of 5, so the oracle raises Infeasible
+        inst = make_instance(
+            [2, 2], [1, 5], flow=[[0.0, 1.0], [1.0, 0.0]],
+            distance=[[0.0, 2.0], [2.0, 0.0]], linear=[[1.0, 2.0], [3.0, 4.0]],
+        )
+        spec = InstanceSpec("tiny", 2, 2, SeedPolicy(0))
+        rows = sweep(spec, inst, "fgw", [0.0, 0.5])
+        assert [(r.status, r.gap_pct) for r in rows] == [("ok", None), ("ok", None)]
+
+        def broken(problem):
+            raise NoConvergence("Frank-Wolfe broke")
+
+        monkeypatch.setattr(bench, "solve_gw", broken)
+        methods = [MethodSpec("exact"), MethodSpec("gw"), MethodSpec("fgw")]
+        exact, gw, fgw = bench._solve_cells([(spec, inst)], methods, 1, True)
+        assert exact.status == "Infeasible: no agent can hold the demand of task 1"
+        assert gw.status == "error: Frank-Wolfe broke"
+        for failed in (exact, gw):
+            assert failed.objective_binary is None and failed.runtime_s == 0.0
+        assert fgw.status == "ok" and fgw.objective_binary == rows[1].objective_binary
 
     def test_exact_proves_s3(self):
         specs = [InstanceSpec.named("S3", SeedPolicy(2))]
@@ -204,6 +229,8 @@ class TestMethodSpec:
             MethodSpec("egw", {"alpha": 0.5})
         with pytest.raises(ValidationError):
             MethodSpec("gw", {"trials": 3})
+        with pytest.raises(ValidationError):
+            MethodSpec("ga", {"tournament_size": 2})
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):
@@ -218,7 +245,6 @@ class TestMethodSpec:
         for name, params in (
             ("gw-multi", {"trials": -1}),
             ("ga", {"population": 1}),
-            ("ga", {"mutation_rate": 1.5}),
             ("egw", {"epsilon": 0.0}),
         ):
             with pytest.raises(ValidationError):
@@ -237,7 +263,7 @@ class TestMethodSpec:
                 MethodSpec("fgw", {"alpha": alpha})
 
     def test_config_fields_accepted(self):
-        MethodSpec("ga", {"population": 10, "tournament_size": 2})
+        MethodSpec("ga", {"population": 2, "generations": 0})
         assert MethodSpec("fgw").label() == "FGW(0.5)"
         assert MethodSpec("egw", {"epsilon": 0.05}).label() == "EGW(0.05)"
 
@@ -251,6 +277,7 @@ class TestMethodSpec:
         from gwqap.bench import METHODS
 
         assert MethodSpec("gw-multi").settings == {"trials": 20}
+        assert METHODS["ga"].defaults == {"population": 100, "generations": 200}
         ga = MethodSpec("ga", {"generations": 3}).settings
         assert list(ga) == list(METHODS["ga"].defaults)
         assert ga["generations"] == 3 and ga["population"] == 100
@@ -274,25 +301,33 @@ class TestMethodSpec:
 class TestSweeps:
     def test_epsilon_sweep_columns(self):
         spec = InstanceSpec.named("S2", SeedPolicy(1))
-        reports = epsilon_sweep(spec, generate_instance(spec), [0.8, 0.5], measure_time=False)
+        reports = sweep(spec, generate_instance(spec), "egw", [0.8, 0.5])
         assert [r.method for r in reports] == ["EGW(0.8)", "EGW(0.5)"]
+        assert all(r.runtime_s > 0.0 for r in reports)  # every cell is timed
 
     def test_epsilon_validation(self):
         spec = InstanceSpec.named("S1", SeedPolicy(0))
         inst = generate_instance(spec)
         with pytest.raises(ValidationError):
-            epsilon_sweep(spec, inst, [0.5, 0.5])
+            sweep(spec, inst, "egw", [0.5, 0.5])
         with pytest.raises(ValidationError):
-            epsilon_sweep(spec, inst, [-1.0])
+            sweep(spec, inst, "egw", [-1.0])
         with pytest.raises(NonEmptyRequired):
-            epsilon_sweep(spec, inst, [])
+            sweep(spec, inst, "egw", [])
+
+    def test_only_one_parameter_methods(self):
+        spec = InstanceSpec.named("S1", SeedPolicy(0))
+        inst = generate_instance(spec)
+        for method in ("exact", "gw", "ga", "sa"):
+            with pytest.raises(ValidationError, match="exactly one parameter"):
+                sweep(spec, inst, method, [1])
 
     def test_alpha_zero_matches_exact_ot(self):
         from gwqap import solve_fgw, to_fgw_problem
 
         spec = InstanceSpec.named("S1", SeedPolicy(6))
         inst = generate_instance(spec)
-        reports = alpha_sweep(spec, inst, [0.0], measure_time=False)
+        reports = sweep(spec, inst, "fgw", [0.0])
         assert reports[0].method == "FGW(0.0)"
         sol = solve_fgw(to_fgw_problem(inst, 0.0))
         prob = to_gw_problem(inst)
@@ -304,8 +339,8 @@ class TestSweeps:
 
         inst = _hand_made_3x3()
         spec = InstanceSpec("custom", 3, 3, SeedPolicy(0))
-        given = alpha_sweep(spec, inst, [0.0], measure_time=False)[0]
-        drawn = alpha_sweep(spec, generate_instance(spec), [0.0], measure_time=False)[0]
+        given = sweep(spec, inst, "fgw", [0.0])[0]
+        drawn = sweep(spec, generate_instance(spec), "fgw", [0.0])[0]
         direct = solve_with_method(inst, MethodSpec("fgw", {"alpha": 0.0}), SeedPolicy(0))
         assert given.objective_binary == direct[1]
         assert given.objective_relaxed == direct[0]
@@ -315,14 +350,13 @@ class TestSweeps:
         spec = InstanceSpec.named("S1", SeedPolicy(0))
         inst = generate_instance(spec)
         with pytest.raises(ValidationError):
-            alpha_sweep(spec, inst, [1.2])
+            sweep(spec, inst, "fgw", [1.2])
         with pytest.raises(ValidationError):
-            alpha_sweep(spec, inst, [0.3, 0.3])
+            sweep(spec, inst, "fgw", [0.3, 0.3])
 
     def test_alpha_sweep_emits_four_columns(self):
         spec = InstanceSpec.named("S1", SeedPolicy(2))
-        reports = alpha_sweep(spec, generate_instance(spec), [0.0, 0.3, 0.5, 0.7],
-                              measure_time=False)
+        reports = sweep(spec, generate_instance(spec), "fgw", [0.0, 0.3, 0.5, 0.7])
         assert len(reports) == 4
 
 

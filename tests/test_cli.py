@@ -223,22 +223,12 @@ def test_sweep_runs_on_the_files_instance(tmp_path):
 
 
 def test_sweep_on_generated_file_matches_library(tmp_path):
-    from gwqap import InstanceSpec, SeedPolicy, alpha_sweep, emit_report, generate_instance
+    from gwqap import InstanceSpec, SeedPolicy, emit_report, generate_instance, sweep
 
     runner = CliRunner()
     inst_path = tmp_path / "inst.json"
     runner.invoke(main, ["gen", "--spec", "S2", "--seed", "5", "--out", str(inst_path)])
-    out = tmp_path / "sweep.csv"
-    result = runner.invoke(
-        main,
-        ["sweep", "--kind", "alpha", "--inst", str(inst_path), "--grid", "0.0,0.5",
-         "--out", str(out)],
-    )
-    assert result.exit_code == 0, result.output
     spec = InstanceSpec.named("S2", SeedPolicy(5))
-    expected = emit_report(
-        alpha_sweep(spec, generate_instance(spec), [0.0, 0.5], measure_time=False), "csv"
-    )
 
     def rows(text):
         rows = list(csv.reader(io.StringIO(text)))
@@ -246,7 +236,16 @@ def test_sweep_on_generated_file_matches_library(tmp_path):
             del row[CSV_COLUMNS.index("runtime_s")]
         return rows
 
-    assert rows(out.read_text()) == rows(expected.decode())
+    for kind, method, grid in (("alpha", "fgw", [0.0, 0.5]), ("epsilon", "egw", [0.8, 3.0])):
+        out = tmp_path / f"{kind}.csv"
+        result = runner.invoke(
+            main,
+            ["sweep", "--kind", kind, "--inst", str(inst_path),
+             "--grid", ",".join(map(str, grid)), "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        expected = emit_report(sweep(spec, generate_instance(spec), method, grid), "csv")
+        assert rows(out.read_text()) == rows(expected.decode())
 
 
 def test_solve_bad_param_value_exit_code(tmp_path):

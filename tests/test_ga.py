@@ -168,9 +168,7 @@ class TestDraws:
 class TestSolveGa:
     def test_no_evolution_returns_best_of_initial(self):
         inst = generate_instance(InstanceSpec("S1", 3, 3, SeedPolicy(0)))
-        config = GaConfig(
-            population=2, generations=0, tournament_size=2, seed=SeedPolicy(9)
-        )
+        config = GaConfig(population=2, generations=0, seed=SeedPolicy(9))
         _, obj, history = solve_ga(inst, config)
         assert len(history) == 1
         assert history[0] == obj
@@ -206,10 +204,8 @@ class TestSolveGa:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GaConfig(population=1)
-        with pytest.raises(ValueError):
-            GaConfig(tournament_size=200, population=100, mutation_rate=0.1)
-        with pytest.raises(ValueError):
-            GaConfig(crossover_rate=1.5)
+        # tournaments draw with replacement, so 2 < TOURNAMENT_SIZE is fine
+        assert GaConfig(population=2).population == 2
 
     def test_negative_generations_rejected(self):
         with pytest.raises(ValueError, match="generations"):
@@ -220,7 +216,9 @@ class TestSolveGa:
 def _uncached_ga(inst, config):
     """The generation loop without a decode cache, as solve_ga ran before it
     had one, with the set-based OX crossover; also returns the set of
-    distinct priorities it decoded."""
+    distinct priorities it decoded. It reads the module's rates and
+    tournament size when called, so a patched constant reaches both."""
+    ga = gwqap.ga
 
     def order_crossover(p1, p2, rng):
         a, b = sorted(rng.integers(0, p1.shape[0], size=2))
@@ -236,7 +234,7 @@ def _uncached_ga(inst, config):
     pop = [rng.permutation(inst.m) for _ in range(config.population)]
 
     def pick():
-        contenders = rng.integers(0, config.population, size=config.tournament_size)
+        contenders = rng.integers(0, config.population, size=ga.TOURNAMENT_SIZE)
         return pop[min(contenders, key=lambda c: (fits[c], c))]
 
     history, distinct = [], set()
@@ -245,11 +243,11 @@ def _uncached_ga(inst, config):
             children = [pop[int(np.argmin(fits))]]
             while len(children) < config.population:
                 p1, p2 = pick(), pick()
-                if rng.random() < config.crossover_rate:
+                if rng.random() < ga.CROSSOVER_RATE:
                     child = order_crossover(p1, p2, rng)
                 else:
                     child = p1
-                if rng.random() < config.mutation_rate:
+                if rng.random() < ga.MUTATION_RATE:
                     i, j = rng.integers(0, child.shape[0], size=2)
                     child = child.copy()
                     child[i], child[j] = child[j], child[i]
@@ -262,6 +260,15 @@ def _uncached_ga(inst, config):
 
     best_x = decoded[int(np.argmin(fits))]
     return best_x, cqap_objective(inst, best_x), np.array(history), distinct
+
+
+def _config_with_constants(params, seed, monkeypatch):
+    """A GaConfig of the lower-case params; each upper-case one patches the
+    ga module constant of that name for the rest of the test."""
+    for name, value in params.items():
+        if name.isupper():
+            monkeypatch.setattr(gwqap.ga, name, value)
+    return GaConfig(**{k: v for k, v in params.items() if not k.isupper()}, seed=seed)
 
 
 class TestDecodeCache:
@@ -290,16 +297,16 @@ class TestDecodeCache:
 
     BITWISE_CASES = {
         **{f"{seed}-{tid}": (tid, seed, {}) for seed in (0, 1, 2) for tid in ("M1", "S1", "S2", "S3")},
-        "tournament-is-population": ("S2", 3, dict(tournament_size=50)),
-        "no-crossover": ("S2", 4, dict(crossover_rate=0.0)),
-        "always-crossover": ("S3", 5, dict(crossover_rate=1.0)),
-        "always-mutate": ("M1", 6, dict(mutation_rate=1.0)),
-        "no-generations": ("S1", 7, dict(population=2, generations=0, tournament_size=2)),
+        "tournament-is-population": ("S2", 3, dict(TOURNAMENT_SIZE=50)),
+        "no-crossover": ("S2", 4, dict(CROSSOVER_RATE=0.0)),
+        "always-crossover": ("S3", 5, dict(CROSSOVER_RATE=1.0)),
+        "always-mutate": ("M1", 6, dict(MUTATION_RATE=1.0)),
+        "no-generations": ("S1", 7, dict(population=2, generations=0)),
         "one-task": ((3, 1), 8, {}),  # numpy's integers(0, 1) draws nothing
     }
 
     @pytest.mark.parametrize("tid,seed,params", list(BITWISE_CASES.values()), ids=list(BITWISE_CASES))
-    def test_bitwise_equal_to_uncached_loop(self, tid, seed, params):
+    def test_bitwise_equal_to_uncached_loop(self, tid, seed, params, monkeypatch):
         policy = SeedPolicy(seed)
         if isinstance(tid, tuple):
             spec = InstanceSpec("T", *tid, policy)
@@ -307,7 +314,7 @@ class TestDecodeCache:
             spec = InstanceSpec.named(tid, policy)
         inst = generate_instance(spec)
         params = {"population": 50, "generations": 50, **params}
-        config = GaConfig(**params, seed=policy.substream(6000))
+        config = _config_with_constants(params, policy.substream(6000), monkeypatch)
         want_x, want_obj, want_history, _ = _uncached_ga(inst, config)
         got_x, got_obj, got_history = solve_ga(inst, config)
         assert got_x.x.dtype == want_x.x.dtype
@@ -323,12 +330,12 @@ class TestRegressionPin:
     # full-interaction decode produced them; instance and GA seeds follow
     # perfbench's suite-S slots (seed 7, GA stream offset 6000)
     CASES = [
-        ("S1", 23000, dict(population=4, generations=6, tournament_size=2),
+        ("S1", 23000, dict(population=4, generations=6, TOURNAMENT_SIZE=2),
          [[1, 1, 0], [0, 0, 0], [0, 0, 1]], 24.057842151394574,
          [28.867106698747527, 28.26576090333444, 28.26576090333444,
           28.26576090333444, 28.26576090333444, 28.26576090333444,
           24.057842151394574]),
-        ("S2", 10000, dict(population=4, generations=6, tournament_size=2),
+        ("S2", 10000, dict(population=4, generations=6, TOURNAMENT_SIZE=2),
          [[0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 0]],
          85.89913478766081,
          [110.60540878550819, 110.60540878550819, 110.60540878550819,
@@ -340,11 +347,11 @@ class TestRegressionPin:
     ]
 
     @pytest.mark.parametrize("tid,stream,params,x,obj,history", CASES)
-    def test_pinned_output(self, tid, stream, params, x, obj, history):
+    def test_pinned_output(self, tid, stream, params, x, obj, history, monkeypatch):
         seed = SeedPolicy(7, stream)
         inst = generate_instance(InstanceSpec.named(tid, seed))
         got_x, got_obj, got_history = solve_ga(
-            inst, GaConfig(**params, seed=seed.substream(6000))
+            inst, _config_with_constants(params, seed.substream(6000), monkeypatch)
         )
         assert got_x.x.dtype == np.int64
         assert got_x.x.tolist() == x

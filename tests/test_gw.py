@@ -22,7 +22,6 @@ from gwqap import (
     validate_histogram,
 )
 from gwqap import gw
-from gwqap.core import PROJECTION_DELTA
 from gwqap.gw import FgwProblem, GwProblem, MultiInitConfig
 from gwqap.errors import AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence
 
@@ -406,7 +405,7 @@ class TestMultiInit:
         for t in range(1, config.trials + 1):
             gen = config.seed.substream(t).generator()
             raw = gen.uniform(0, 1, size=prob.shape) + gw.INIT_JITTER
-            init = sinkhorn_project(raw, src.mass, tgt.mass, delta=PROJECTION_DELTA)
+            init = sinkhorn_project(raw, src.mass, tgt.mass)
             trial_objs.append(solve_gw(prob, init).objective)
         assert best.objective <= min(trial_objs) + 1e-15
 

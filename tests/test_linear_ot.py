@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ class TestSinkhornProject:
         h = normalize_masses([1, 3])
         g = normalize_masses([2, 2])
         raw = np.outer(h.weights, g.weights)
-        coupling = sinkhorn_project(raw, h, g, delta=1e-12)
+        coupling = sinkhorn_project(raw, h, g)
         assert np.allclose(coupling.plan, raw, atol=1e-15)
 
     def test_all_ones_symmetry(self):
@@ -250,16 +251,17 @@ class TestSinkhornProject:
         raw = rng.uniform(0, 1, size=(6, 5)) + 1e-6
         h = normalize_masses(rng.random(6) + 0.2)
         g = normalize_masses(rng.random(5) + 0.2)
-        coupling = sinkhorn_project(raw, h, g, delta=1e-12)
+        coupling = sinkhorn_project(raw, h, g)
         row, col = marginal_violation(coupling)
-        assert max(row, col) <= 1e-12
+        assert max(row, col) <= PROJECTION_DELTA
 
-    def test_sweep_cap(self):
+    def test_sweep_cap(self, monkeypatch):
         rng = np.random.default_rng(0)
         raw = rng.uniform(0, 1, size=(4, 4)) + 1e-6
         h = normalize_masses(rng.random(4) + 0.2)
+        monkeypatch.setattr(linear_ot, "PROJECTION_MAX_SWEEPS", 1)
         with pytest.raises(NoConvergence):
-            sinkhorn_project(raw, h, h, delta=1e-12, max_sweeps=1)
+            sinkhorn_project(raw, h, h)
 
 
 def _project_four_reductions(raw, h, g, delta, max_sweeps=10_000):
@@ -290,11 +292,13 @@ def test_projection_bitwise_equals_four_reduction_loop(n, m, seed, delta):
     h = normalize_masses(rng.random(n) + 0.2)
     g = normalize_masses(rng.random(m) + 0.2)
     ref = _project_four_reductions(raw, h, g, delta)
-    if ref is None:
-        with pytest.raises(NoConvergence):
-            sinkhorn_project(raw, h, g, delta=delta)
-    else:
-        assert np.array_equal(sinkhorn_project(raw, h, g, delta=delta).plan, ref)
+    # hypothesis reuses a function-scoped fixture across examples, so patch here
+    with mock.patch.object(linear_ot, "PROJECTION_DELTA", delta):
+        if ref is None:
+            with pytest.raises(NoConvergence):
+                sinkhorn_project(raw, h, g)
+        else:
+            assert np.array_equal(sinkhorn_project(raw, h, g).plan, ref)
 
 
 @settings(max_examples=40, deadline=None)
