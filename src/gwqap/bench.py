@@ -262,18 +262,29 @@ def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
     if schema != INSTANCE_SCHEMA:
         raise ValidationError(f"unsupported instance schema {schema!r}")
     try:
+        seed = doc.get("seed", 0)
+        if type(seed) is not int:
+            raise ValidationError(f"seed must be an integer, got {seed!r}")
         inst = CqapInstance(
             agent_pos=np.asarray(doc["agent_pos"], dtype=np.float64),
             task_pos=np.asarray(doc["task_pos"], dtype=np.float64),
-            capacity=np.asarray(doc["capacity"], dtype=np.int64),
-            demand=np.asarray(doc["demand"], dtype=np.int64),
+            capacity=_integers(doc["capacity"], "capacity"),
+            demand=_integers(doc["demand"], "demand"),
             flow=SymCostMatrix(np.asarray(doc["flow"], dtype=np.float64)),
             distance=SymCostMatrix(np.asarray(doc["distance"], dtype=np.float64)),
             linear_cost=np.asarray(doc["linear_cost"], dtype=np.float64),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance document: {exc!r}") from exc
-    return inst, doc.get("test_id", "custom"), int(doc.get("seed", 0))
+    return inst, doc.get("test_id", "custom"), seed
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as int64, or ValidationError if one is not a whole number."""
+    a = np.asarray(values, dtype=np.float64)
+    if not (np.isfinite(a) & (a == np.trunc(a))).all():
+        raise ValidationError(f"{name} must be whole numbers")
+    return a.astype(np.int64)
 
 
 class MethodResult(NamedTuple):
@@ -395,7 +406,7 @@ def sweep(
     """One timed ``method`` cell on ``inst`` per grid value of the method's
     one parameter (EGW's epsilon, FGW's alpha); ``spec`` names the rows and
     seeds the cells, and ``MethodSpec`` checks the values."""
-    params = METHODS[method].defaults if method in METHODS else {}
+    params = MethodSpec(method).settings
     if len(params) != 1:
         raise ValidationError(f"method {method!r} does not take exactly one parameter")
     (key,) = params

@@ -1,10 +1,10 @@
 """Command-line interface: instance generation, solving, bench suites, sweeps.
 
 Exit codes: 0 success, 2 validation error (including a malformed instance
-file), 3 solver non-convergence (best-effort output still written) or an
-oracle whose node cap stopped it before any assignment (NoConvergence), 4
-infeasible instance or an instance the generator could not draw
-(GenerationFailed).
+file, or one with non-finite or non-integral data), 3 solver non-convergence
+(best-effort output still written) or an oracle whose node cap stopped it
+before any assignment (NoConvergence), 4 infeasible instance or an instance
+the generator could not draw (GenerationFailed).
 """
 
 from __future__ import annotations

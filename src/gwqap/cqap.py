@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     Infeasible,
     NegativeWeight,
+    NonFinite,
     NoConvergence,
     NonPositiveExact,
 )
@@ -50,6 +51,14 @@ class CqapInstance:
     def __post_init__(self):
         n, m = self.capacity.shape[0], self.demand.shape[0]
         F, D, C = self.flow.entries, self.distance.entries, self.linear_cost
+        # the exact oracle prunes on partial costs, a bound only if none is < 0;
+        # a NaN passes that test and the symmetry test below, where an inf
+        # pair's difference is NaN, so finiteness is checked first
+        for name, a in (("flow", F), ("distance", D), ("linear cost", C)):
+            if not np.isfinite(a).all():
+                raise NonFinite(f"{name} has a non-finite entry")
+            if np.any(a < 0):
+                raise NegativeWeight(f"{name} has a negative entry")
         # square and symmetric, as the objective's symmetric form assumes
         validate_sym_cost(F)
         validate_sym_cost(D)
@@ -59,10 +68,6 @@ class CqapInstance:
             raise DimensionMismatch("linear cost must be n x m")
         if np.any(self.capacity < 1) or np.any(self.demand < 1):
             raise DimensionMismatch("capacities and demands must be >= 1")
-        # the exact oracle prunes on partial costs, a bound only if none is < 0
-        for name, a in (("flow", F), ("distance", D), ("linear cost", C)):
-            if np.any(a < 0):
-                raise NegativeWeight(f"{name} has a negative entry")
 
     @cached_property
     def own_cost(self) -> np.ndarray:

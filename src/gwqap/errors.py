@@ -13,6 +13,10 @@ class NegativeWeight(ValidationError):
     pass
 
 
+class NonFinite(ValidationError):
+    pass
+
+
 class SumNotOne(ValidationError):
     pass
 

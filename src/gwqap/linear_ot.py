@@ -7,18 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linear_sum_assignment
-from scipy.optimize import linprog, milp
+from scipy.optimize import linear_sum_assignment
+# the HiGHS bindings scipy ships (a private module, with _core from scipy 1.15)
+from scipy.optimize._highspy import _core as _highs
 
 from .core import MARGINAL_TOL, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS, Coupling, Histogram
 from .errors import DimensionMismatch, NoConvergence, NonSquare, NumericalUnderflow
-
-# the HiGHS bindings scipy ships (a private module; linprog and milp are the
-# fallbacks when it is missing)
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # pragma: no cover - depends on the scipy build
-    _highs = None
 
 # switch to log-domain scaling once exp(-C/eps) risks underflow
 _LOG_DOMAIN_RATIO = 500.0
@@ -75,8 +69,7 @@ class TransportLp:
     the previous optimal basis, so a sequence of costs, as Frank-Wolfe
     produces, costs a fraction of cold solves. Every answer is a basic
     optimal plan; a zero-mass atom's row or column sums to zero, so its
-    entries are zero. Without scipy's HiGHS bindings each solve is a cold
-    ``linprog`` call.
+    entries are zero.
 
     A multi-init builds one model for all of its starts. Each Frank-Wolfe
     solve calls ``reset`` first, so it runs the same LP sequence, bit for
@@ -85,31 +78,24 @@ class TransportLp:
 
     def __init__(self, h: Histogram, g: Histogram):
         self.shape = (h.n, g.n)
-        self._h = h.weights
-        self._g = g.weights
-        self._model = None
-        if _highs is not None:
-            size = h.n * g.n
-            self._index = np.arange(size, dtype=np.int32)
-            b = np.concatenate([self._h, self._g])
-            self._model = _highs_model(
-                _transport_constraints(h.n, g.n),
-                np.zeros(size),
-                np.full(size, np.inf),
-                b,
-                b,
-                solver="simplex",
-                simplex_strategy=1,  # dual simplex, as linprog's highs-ds
-            )
+        size = h.n * g.n
+        self._index = np.arange(size, dtype=np.int32)
+        b = np.concatenate([h.weights, g.weights])
+        self._model = _highs_model(
+            _transport_constraints(h.n, g.n),
+            np.zeros(size),
+            np.full(size, np.inf),
+            b,
+            b,
+            solver="simplex",
+            simplex_strategy=1,  # dual simplex
+        )
 
     def reset(self):
         """Drop the last basis, so the next solve starts cold."""
-        if self._model is not None:
-            self._model.clearSolver()
+        self._model.clearSolver()
 
     def solve(self, cost: np.ndarray) -> np.ndarray:
-        if self._model is None:
-            return _transportation_lp(cost, self._h, self._g)
         self._model.changeColsCost(self._index.size, self._index, cost.ravel())
         plan = _highs_solution(self._model, "transportation LP").reshape(self.shape)
         np.clip(plan, 0.0, None, out=plan)
@@ -166,34 +152,13 @@ def _highs_solution(model, what: str) -> np.ndarray:
 def _binary_program(cost, A, lower, upper) -> np.ndarray:
     """min cost @ x s.t. lower <= A x <= upper, x binary (feasible by
     construction)."""
-    size = cost.size
-    if _highs is None:
-        return milp(
-            cost,
-            constraints=[LinearConstraint(A, lower, upper)],
-            integrality=np.ones(size),
-            bounds=Bounds(0.0, 1.0),
-        ).x
     # HiGHS's default cut and conflict pools (10^4 entries) raised the
     # process's peak memory by about 10 MB over a few dozen 20 x 20
     # roundings; a small pool leaves the solve exact
     model = _highs_model(
-        A, cost, np.ones(size), lower, upper, integer=True, mip_pool_soft_limit=10
+        A, cost, np.ones(cost.size), lower, upper, integer=True, mip_pool_soft_limit=10
     )
     return _highs_solution(model, "rounding MILP")
-
-
-def _transportation_lp(c, h, g):
-    n, m = c.shape
-    b = np.concatenate([h, g])
-    res = linprog(
-        c.ravel(), A_eq=_transport_constraints(n, m), b_eq=b, method="highs-ds"
-    )
-    if res.status != 0:
-        raise NoConvergence(f"transportation LP failed: {res.message}")
-    plan = res.x.reshape(n, m)
-    np.clip(plan, 0.0, None, out=plan)
-    return plan
 
 
 def sinkhorn(

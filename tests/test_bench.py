@@ -71,13 +71,41 @@ class TestInstanceJson:
         text = instance_to_json(inst, test_id="S4", seed=77)
         back, test_id, seed = instance_from_json(text)
         assert test_id == "S4" and seed == 77
-        assert np.array_equal(back.agent_pos, inst.agent_pos)
+        for name in ("agent_pos", "task_pos", "capacity", "demand", "linear_cost"):
+            a, b = getattr(back, name), getattr(inst, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
         assert np.array_equal(back.flow.entries, inst.flow.entries)
-        assert np.array_equal(back.linear_cost, inst.linear_cost)
+        assert np.array_equal(back.distance.entries, inst.distance.entries)
 
     def test_schema_checked(self):
         with pytest.raises(ValidationError):
             instance_from_json(json.dumps({"schema": "other/9"}))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("seed", "x", "seed"),
+            ("seed", 1.7, "seed"),
+            ("seed", True, "seed"),
+            ("capacity", [2.5, 3.9, 1.2], "capacity"),
+            ("capacity", [2, float("nan"), 1], "capacity"),
+            ("demand", [1, 1.5, 1], "demand"),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, field, value, match):
+        inst = generate_instance(InstanceSpec.named("S1", SeedPolicy(0)))
+        doc = json.loads(instance_to_json(inst, test_id="S1", seed=0))
+        doc[field] = value
+        with pytest.raises(ValidationError, match=match):
+            instance_from_json(json.dumps(doc))
+
+    def test_whole_float_capacities_load_as_integers(self):
+        inst = generate_instance(InstanceSpec.named("S1", SeedPolicy(0)))
+        doc = json.loads(instance_to_json(inst, test_id="S1", seed=0))
+        doc["capacity"] = [float(u) for u in doc["capacity"]]
+        back, _, _ = instance_from_json(json.dumps(doc))
+        assert back.capacity.dtype == np.int64
+        assert np.array_equal(back.capacity, inst.capacity)
 
 
 class TestRunSuite:
@@ -318,9 +346,12 @@ class TestSweeps:
     def test_only_one_parameter_methods(self):
         spec = InstanceSpec.named("S1", SeedPolicy(0))
         inst = generate_instance(spec)
-        for method in ("exact", "gw", "ga", "sa"):
+        for method in ("exact", "gw", "ga"):
             with pytest.raises(ValidationError, match="exactly one parameter"):
                 sweep(spec, inst, method, [1])
+        for method in ("sa", "nope"):
+            with pytest.raises(ValidationError, match=f"unknown method '{method}'"):
+                sweep(spec, inst, method, [1.0])
 
     def test_alpha_zero_matches_exact_ot(self):
         from gwqap import solve_fgw, to_fgw_problem

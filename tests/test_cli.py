@@ -165,8 +165,11 @@ def test_sweep_wrong_schema_exit_code(tmp_path):
 
 def test_solve_malformed_file_exit_code(tmp_path):
     doc = json.loads(instance_to_json(_hand_made_3x3()))
-    del doc["flow"]
-    for text in (json.dumps(doc), "[]", "{"):
+    no_flow = {k: v for k, v in doc.items() if k != "flow"}
+    texts = [json.dumps(no_flow), "[]", "{"]
+    for field, value in [("seed", "x"), ("seed", 1.7), ("capacity", [2.5, 3.9, 1.2])]:
+        texts.append(json.dumps({**doc, field: value}))
+    for text in texts:
         path = tmp_path / "malformed.json"
         path.write_text(text)
         result = CliRunner().invoke(
@@ -174,6 +177,24 @@ def test_solve_malformed_file_exit_code(tmp_path):
             ["solve", "--inst", str(path), "--method", "gw", "--out", str(tmp_path / "r.json")],
         )
         assert result.exit_code == 2, (text, result.output)
+
+
+@pytest.mark.parametrize(
+    "name, i, j, value", [("flow", 0, 1, float("nan")), ("linear_cost", 0, 0, float("inf"))]
+)
+@pytest.mark.parametrize("command", ["oracle", "solve"])
+def test_non_finite_instance_exit_code(tmp_path, name, i, j, value, command):
+    # the oracle printed objective=nan proven=True and solve raised LinAlgError
+    doc = json.loads(instance_to_json(_hand_made_3x3()))
+    doc[name][i][j] = doc[name][j][i] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # json writes and reads NaN and Infinity
+    args = [command, "--inst", str(path)]
+    if command == "solve":
+        args += ["--method", "gw", "--out", str(tmp_path / "r.json")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "non-finite" in result.output
 
 
 def test_gen_generation_failed_exit_code(tmp_path):

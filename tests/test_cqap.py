@@ -31,6 +31,7 @@ from gwqap.errors import (
     Infeasible,
     NegativeWeight,
     NoConvergence,
+    NonFinite,
     NonPositiveExact,
     ValidationError,
 )
@@ -255,15 +256,6 @@ class TestRoundCoupling:
                 if check_feasible(inst, moved)[0]:
                     assert cqap_objective(inst, moved) >= value - 1e-9
 
-    def test_milp_fallback_rounds_alike(self, monkeypatch):
-        import gwqap.linear_ot as linear_ot
-
-        inst = generate_instance(InstanceSpec("S2", 4, 4, SeedPolicy(6)))
-        plan = to_gw_problem(inst).default_init()
-        fast = round_coupling(inst, plan).x
-        monkeypatch.setattr(linear_ot, "_highs", None)
-        assert np.array_equal(round_coupling(inst, plan).x, fast)
-
     @pytest.mark.parametrize("n, m", [(1, 1), (1, 4), (3, 1), (5, 7), (20, 20)])
     def test_constraint_matrix_matches_kron_reference(self, n, m):
         from scipy import sparse
@@ -347,6 +339,15 @@ class TestInstanceValidation:
         minus = -np.eye(3)
         for kw in ({"flow": minus}, {"distance": minus}, {"linear": minus}):
             with pytest.raises(NegativeWeight):
+                make_instance([2, 2, 2], [1, 1, 1], **kw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        # a symmetric pair, so the symmetry test alone cannot catch it
+        pair = np.zeros((3, 3))
+        pair[0, 1] = pair[1, 0] = bad
+        for kw in ({"flow": pair}, {"distance": pair}, {"linear": pair}):
+            with pytest.raises(NonFinite, match="non-finite"):
                 make_instance([2, 2, 2], [1, 1, 1], **kw)
 
 

@@ -1,10 +1,13 @@
+import ast
 import itertools
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from gwqap import (
     gaussian_measure,
@@ -22,9 +25,22 @@ from gwqap.core import MARGINAL_TOL, PROJECTION_DELTA
 from gwqap.errors import (
     DimensionMismatch, NoConvergence, NonSquare, NotPSD, NumericalUnderflow,
 )
-from gwqap.linear_ot import TransportLp, _transportation_lp
+from gwqap.linear_ot import TransportLp, _transport_constraints
 
 UNIF2 = validate_histogram([0.5, 0.5])
+
+
+def _transportation_lp(c, h, g):
+    """Reference plan: one cold ``linprog`` dual-simplex solve."""
+    n, m = c.shape
+    b = np.concatenate([h, g])
+    res = linprog(
+        c.ravel(), A_eq=_transport_constraints(n, m), b_eq=b, method="highs-ds"
+    )
+    assert res.status == 0, res.message
+    plan = res.x.reshape(n, m)
+    np.clip(plan, 0.0, None, out=plan)
+    return plan
 
 
 def brute_force_lap(cost):
@@ -162,24 +178,40 @@ class TestTransportLp:
         for a, b in zip(run(reused), fresh):
             assert np.array_equal(a, b)
 
-    def test_reset_is_a_no_op_on_the_fallback(self, monkeypatch):
-        monkeypatch.setattr(linear_ot, "_highs", None)
-        rng = np.random.default_rng(10)
-        h, g = self._random(rng, 4, 3)
-        cost = rng.uniform(0, 10, size=(4, 3))
-        model = TransportLp(h, g)
-        first = model.solve(cost)
-        model.reset()
-        assert np.array_equal(model.solve(cost), first)
 
-    def test_linprog_fallback(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        h, g = self._random(rng, 4, 3)
-        cost = rng.uniform(0, 10, size=(4, 3))
-        _, fast = solve_exact_ot(cost, h, g)
-        monkeypatch.setattr(linear_ot, "_highs", None)
-        _, slow = solve_exact_ot(cost, h, g)
-        assert slow == pytest.approx(fast, abs=1e-12)
+def _backend_references(tree):
+    """The imports from scipy.optimize and the uses of the name ``_highs``
+    in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names = {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names = {alias.name for alias in node.names}
+        else:
+            names = set()
+        for name in names:
+            if name == "scipy.optimize" or name.startswith("scipy.optimize."):
+                yield node.lineno, f"imports {name}"
+        named = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, ast.alias):
+            named |= {node.name, node.asname}
+        if "_highs" in named:
+            yield getattr(node, "lineno", None), "names _highs"
+
+
+def test_only_linear_ot_talks_to_the_solver_backend():
+    # linear_ot alone builds HiGHS models and calls scipy's LP/MILP solvers
+    package = Path(linear_ot.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "linear_ot.py" in modules
+    found = [
+        f"{path.name}:{line}: {what}"
+        for path in modules
+        if path.name != "linear_ot.py"
+        for line, what in _backend_references(ast.parse(path.read_text()))
+    ]
+    assert found == []
+    assert list(_backend_references(ast.parse((package / "linear_ot.py").read_text())))
 
 
 class TestSinkhorn:
