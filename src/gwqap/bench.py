@@ -261,6 +261,9 @@ def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != INSTANCE_SCHEMA:
         raise ValidationError(f"unsupported instance schema {schema!r}")
+    test_id = doc.get("test_id", "custom")
+    if type(test_id) is not str:
+        raise ValidationError(f"test_id must be a string, got {test_id!r}")
     try:
         seed = doc.get("seed", 0)
         if type(seed) is not int:
@@ -276,7 +279,7 @@ def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance document: {exc!r}") from exc
-    return inst, doc.get("test_id", "custom"), seed
+    return inst, test_id, seed
 
 
 def _integers(values, name: str) -> np.ndarray:

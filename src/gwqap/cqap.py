@@ -32,8 +32,8 @@ from .linear_ot import _binary_program, _transport_constraints
 
 @dataclass(frozen=True)
 class CqapInstance:
-    agent_pos: np.ndarray  # n x 2
-    task_pos: np.ndarray  # m x 2
+    agent_pos: np.ndarray  # n x k
+    task_pos: np.ndarray  # m x k
     capacity: np.ndarray  # n positive ints
     demand: np.ndarray  # m positive ints
     flow: SymCostMatrix  # n x n
@@ -68,6 +68,13 @@ class CqapInstance:
             raise DimensionMismatch("linear cost must be n x m")
         if np.any(self.capacity < 1) or np.any(self.demand < 1):
             raise DimensionMismatch("capacities and demands must be >= 1")
+        P, Q = self.agent_pos, self.task_pos
+        if P.ndim != 2 or P.shape[0] != n or Q.shape != (m, P.shape[1]):
+            raise DimensionMismatch(
+                f"positions are {P.shape} and {Q.shape}, need n x k and m x k"
+            )
+        if not (np.isfinite(P).all() and np.isfinite(Q).all()):
+            raise NonFinite("a position has a non-finite entry")
 
     @cached_property
     def own_cost(self) -> np.ndarray:

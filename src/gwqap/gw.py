@@ -30,6 +30,10 @@ own local minimum. Entropic GW leaves the term out: it smooths the plan
 instead, and with the convex product loss its regularized problem has a
 single minimizer, which its fixed-point iteration reaches.
 
+Fused GW (``solve_fgw``) weighs that objective by alpha and adds
+(1 - alpha) <M, pi>, M a feature cost. Frank-Wolfe always evaluates both
+terms; they vanish at concavity 0 and at alpha = 1 (plain GW runs M = 0).
+
 Everything is evaluated through contractions (never the 4-D tensor), so
 each loss/gradient costs O(n^2 m + n m^2).
 """
@@ -188,7 +192,7 @@ def _check_init(problem: GwProblem, init: Coupling | None) -> Coupling:
 
 def _fw_solve(
     problem: GwProblem,
-    linear_cost,
+    linear_cost: np.ndarray,
     alpha: float,
     init: Coupling | None,
     model: TransportLp | None = None,
@@ -201,24 +205,22 @@ def _fw_solve(
     to [0, 1]. ``model``, a ``TransportLp`` for the problem's marginals, is
     reset and re-used; without one a fresh model is built.
 
+    The objective, its gradient and the line search always evaluate the
+    concavity and fused terms: they add exact zeros at concavity 0 and at
+    alpha = 1 (``solve_gw`` passes M = 0).
+
     The cross term E = E(pi) is linear in pi, so one contraction per step,
     E(vertex), gives the gradient 2E, the curvature <E(vertex) - E, delta>
     of the line search and, with E updated along the step, the GW loss
     <E, pi>.
     """
     init = _check_init(problem, init)
-    h = problem.source.mass
-    g = problem.target.mass
-    M = linear_cost
-    mu = problem.concavity
+    h, g = problem.source.mass, problem.target.mass
+    M, mu, G = linear_cost, problem.concavity, g.weights[None, :]
 
     def objective(p, E):
-        val = alpha * float((E * p).sum())
-        if mu:
-            val += alpha * mu * float((p * (g.weights[None, :] - p)).sum())
-        if alpha < 1.0:
-            val += (1.0 - alpha) * float((M * p).sum())
-        return val
+        gw_part = alpha * float((E * p).sum()) + alpha * mu * float((p * (G - p)).sum())
+        return gw_part + (1.0 - alpha) * float((M * p).sum())
 
     if model is None:
         model = TransportLp(h, g)
@@ -230,33 +232,21 @@ def _fw_solve(
     converged = False
     iterations = 0
     for iterations in range(1, FW_MAX_ITER + 1):
-        gw_grad = 2.0 * E
-        if mu:
-            gw_grad += mu * (g.weights[None, :] - 2.0 * pi)
-        grad = alpha * gw_grad
-        if alpha < 1.0:
-            grad = grad + (1.0 - alpha) * M
+        gw_grad = 2.0 * E + mu * (G - 2.0 * pi)
+        grad = alpha * gw_grad + (1.0 - alpha) * M
         vertex, _ = solve_exact_ot(grad, h, g, model=model)
         delta = vertex.plan - pi
         dE = _cross_term(problem, vertex.plan) - E
-        # 1-D restriction: a t^2 + b t with the quadratic from the GW part
-        a = alpha * float((dE * delta).sum())
-        if mu:
-            a -= alpha * mu * float((delta * delta).sum())
-        b = alpha * float((gw_grad * delta).sum())
-        if alpha < 1.0:
-            b += (1.0 - alpha) * float((M * delta).sum())
-        if a > 0:
-            t = min(1.0, max(0.0, -b / (2.0 * a)))
-        else:
-            t = 1.0 if b <= 0 else 0.0
+        # 1-D restriction: a t^2 + b t
+        a = alpha * float((dE * delta).sum()) - alpha * mu * float((delta * delta).sum())
+        b = alpha * float((gw_grad * delta).sum()) + (1.0 - alpha) * float((M * delta).sum())
+        t = min(1.0, max(0.0, -b / (2.0 * a))) if a > 0 else float(b <= 0)
         pi = pi + t * delta
         E = E + t * dE
         f_new = objective(pi, E)
         history.append(f_new)
         f_prev = history[-2]
-        denom = max(abs(f_prev), 1.0)
-        if abs(f_prev - f_new) / denom < FW_TOL:
+        if abs(f_prev - f_new) / max(abs(f_prev), 1.0) < FW_TOL:
             converged = True
             break
     return GwSolution(
@@ -281,7 +271,7 @@ def solve_gw(
     ``TransportLp`` of the problem's marginals passed as ``model`` is reset
     and re-used for the exact-OT steps; the result is the same without it.
     """
-    return _fw_solve(problem, None, 1.0, init, model)
+    return _fw_solve(problem, np.zeros(problem.shape), 1.0, init, model)
 
 
 def solve_fgw(problem: FgwProblem, init: Coupling | None = None) -> GwSolution:
@@ -331,20 +321,18 @@ def solve_entropic_gw(problem: GwProblem, epsilon: float) -> GwSolution:
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     h, g = problem.source.mass, problem.target.mass
-    pi = problem.default_init().plan
+    coupling = problem.default_init()
     converged = False
     iterations = 0
     for iterations in range(1, EGW_MAX_OUTER + 1):
-        grad = gw_gradient(problem, pi)
-        coupling, _, _, solved = sinkhorn(grad, h, g, epsilon, max_iter=EGW_MAX_SINKHORN)
-        new_pi = coupling.plan
-        change = float(np.abs(new_pi - pi).max())
-        pi = new_pi
+        grad = gw_gradient(problem, coupling)
+        new, _, _, solved = sinkhorn(grad, h, g, epsilon, max_iter=EGW_MAX_SINKHORN)
+        change = float(np.abs(new.plan - coupling.plan).max())
+        coupling = new
         if change < EGW_TOL:
             # the returned coupling holds the marginals only if its solve did
             converged = solved
             break
-    coupling = Coupling(pi, h, g)
     return GwSolution(
         coupling=coupling,
         objective=gw_loss(problem, coupling),

@@ -21,7 +21,13 @@ from gwqap import (
     to_gw_problem,
 )
 from gwqap.bench import NAMED_SPECS, CSV_COLUMNS, solve_with_method
-from gwqap.errors import NonEmptyRequired, UnknownFormat, ValidationError
+from gwqap.errors import (
+    DimensionMismatch,
+    NonEmptyRequired,
+    NonFinite,
+    UnknownFormat,
+    ValidationError,
+)
 from tests.test_gw import digest
 
 DIAMETER = np.sqrt(200.0)  # diagonal of the [0,10]^2 square
@@ -97,6 +103,26 @@ class TestInstanceJson:
         doc = json.loads(instance_to_json(inst, test_id="S1", seed=0))
         doc[field] = value
         with pytest.raises(ValidationError, match=match):
+            instance_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("test_id", [1, 2], ValidationError),
+            ("test_id", 7, ValidationError),
+            ("test_id", None, ValidationError),
+            ("agent_pos", [[1.0, 2.0, 3.0]], DimensionMismatch),
+            ("agent_pos", [1.0, 2.0, 3.0], DimensionMismatch),
+            ("task_pos", [[1.0, 2.0, 3.0]] * 3, DimensionMismatch),
+            ("agent_pos", [[float("nan")] * 2] * 3, NonFinite),
+            ("task_pos", [[0.0, float("inf")]] * 3, NonFinite),
+        ],
+    )
+    def test_mistyped_id_and_positions_rejected(self, field, value, error):
+        inst = generate_instance(InstanceSpec.named("S1", SeedPolicy(0)))
+        doc = json.loads(instance_to_json(inst, test_id="S1", seed=0))
+        doc[field] = value
+        with pytest.raises(error, match="test_id" if field == "test_id" else "position"):
             instance_from_json(json.dumps(doc))
 
     def test_whole_float_capacities_load_as_integers(self):

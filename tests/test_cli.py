@@ -167,7 +167,10 @@ def test_solve_malformed_file_exit_code(tmp_path):
     doc = json.loads(instance_to_json(_hand_made_3x3()))
     no_flow = {k: v for k, v in doc.items() if k != "flow"}
     texts = [json.dumps(no_flow), "[]", "{"]
-    for field, value in [("seed", "x"), ("seed", 1.7), ("capacity", [2.5, 3.9, 1.2])]:
+    nan_pos = [[float("nan")] * 2] * 3
+    for field, value in [("seed", "x"), ("seed", 1.7), ("capacity", [2.5, 3.9, 1.2]),
+                         ("test_id", [1, 2]), ("agent_pos", [[1, 2, 3]]),
+                         ("task_pos", nan_pos)]:
         texts.append(json.dumps({**doc, field: value}))
     for text in texts:
         path = tmp_path / "malformed.json"

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwqap import (
     Coupling,
@@ -22,6 +23,7 @@ from gwqap import (
     validate_histogram,
 )
 from gwqap import gw
+from gwqap.core import MARGINAL_TOL
 from gwqap.gw import FgwProblem, GwProblem, MultiInitConfig
 from gwqap.errors import AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence
 
@@ -569,3 +571,62 @@ class TestFgw:
         src, tgt, M = self._instance(11)
         with pytest.raises(AlphaOutOfRange):
             FgwProblem(GwProblem(src, tgt), M, alpha=1.2)
+
+
+def _space(rng, n, zero_mass):
+    """A random space; with ``zero_mass``, about half its atoms (never all)
+    carry no mass."""
+    space = random_space(rng, n)
+    w = rng.random(n) + 0.2
+    if zero_mass and n > 1:
+        w[rng.permutation(n)[: n // 2]] = 0.0
+    return MmSpace(space.structure, normalize_masses(w))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    loss=st.sampled_from(gw.LOSSES),
+    concavity=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
+    alpha=st.floats(0.0, 1.0),
+    zero_mass=st.booleans(),
+    solver=st.sampled_from(["gw", "fgw", "gw-multi"]),
+)
+def test_frank_wolfe_couplings_keep_the_marginal_contract(
+    n, m, seed, loss, concavity, alpha, zero_mass, solver
+):
+    rng = np.random.default_rng(seed)
+    prob = GwProblem(_space(rng, n, zero_mass), _space(rng, m, zero_mass), loss, concavity)
+    if solver == "gw":
+        sol = solve_gw(prob)
+    elif solver == "fgw":
+        sol = solve_fgw(FgwProblem(prob, rng.uniform(0, 10, size=(n, m)), alpha))
+    else:
+        sol = solve_gw_multi_init(prob, MultiInitConfig(2, SeedPolicy(seed)))
+    assert max(marginal_violation(sol.coupling)) <= MARGINAL_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    loss=st.sampled_from(gw.LOSSES),
+    epsilon=st.floats(0.01, 10.0),
+    zero_mass=st.booleans(),
+)
+def test_converged_entropic_couplings_keep_the_marginal_contract(
+    n, m, seed, loss, epsilon, zero_mass
+):
+    rng = np.random.default_rng(seed)
+    # structures scaled to unit maximum, as to_gw_problem scales them, keep
+    # epsilon on a fixed scale
+    src, tgt = (
+        MmSpace(SymCostMatrix(s.structure.entries / max(s.structure.entries.max(), 1.0)), s.mass)
+        for s in (_space(rng, n, zero_mass), _space(rng, m, zero_mass))
+    )
+    sol = solve_entropic_gw(GwProblem(src, tgt, loss), epsilon)
+    if sol.converged:
+        assert max(marginal_violation(sol.coupling)) <= MARGINAL_TOL
