@@ -3,7 +3,6 @@
 from .core import (
     Coupling,
     GaussianMeasure,
-    gaussian_measure,
     Histogram,
     MmSpace,
     SeedPolicy,
@@ -11,8 +10,6 @@ from .core import (
     marginal_violation,
     normalize_masses,
     product_coupling,
-    validate_histogram,
-    validate_sym_cost,
 )
 from .linear_ot import (
     Assignment,

@@ -135,10 +135,7 @@ class MethodSpec:
             raise ValidationError(f"method {self.name!r} takes no parameter {unknown}")
         p = self.settings
         if method.config:
-            try:
-                method.config(**p)
-            except ValueError as exc:
-                raise ValidationError(f"method {self.name!r}: {exc}") from exc
+            method.config(**p)
         if not p.get("epsilon", 1.0) > 0:
             raise ValidationError("epsilon must be positive")
         if not 0.0 <= p.get("alpha", 0.0) <= 1.0:
@@ -205,7 +202,7 @@ def generate_instance(spec: InstanceSpec) -> CqapInstance:
     capacity = rng.integers(_CAP_LOW, _CAP_HIGH + 1, size=n)
 
     F = SymCostMatrix(_distances(agent_pos, agent_pos))
-    D_tasks = _distances(task_pos, task_pos)
+    D = SymCostMatrix(_distances(task_pos, task_pos))
     C = _distances(agent_pos, task_pos)
 
     for _ in range(_GENERATION_ATTEMPTS):
@@ -216,7 +213,7 @@ def generate_instance(spec: InstanceSpec) -> CqapInstance:
             capacity=capacity,
             demand=demand,
             flow=F,
-            distance=SymCostMatrix(D_tasks),
+            distance=D,
             linear_cost=C,
         )
         if _instance_feasible(inst):
@@ -269,25 +266,17 @@ def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
         if type(seed) is not int:
             raise ValidationError(f"seed must be an integer, got {seed!r}")
         inst = CqapInstance(
-            agent_pos=np.asarray(doc["agent_pos"], dtype=np.float64),
-            task_pos=np.asarray(doc["task_pos"], dtype=np.float64),
-            capacity=_integers(doc["capacity"], "capacity"),
-            demand=_integers(doc["demand"], "demand"),
-            flow=SymCostMatrix(np.asarray(doc["flow"], dtype=np.float64)),
-            distance=SymCostMatrix(np.asarray(doc["distance"], dtype=np.float64)),
-            linear_cost=np.asarray(doc["linear_cost"], dtype=np.float64),
+            agent_pos=doc["agent_pos"],
+            task_pos=doc["task_pos"],
+            capacity=doc["capacity"],
+            demand=doc["demand"],
+            flow=SymCostMatrix(doc["flow"]),
+            distance=SymCostMatrix(doc["distance"]),
+            linear_cost=doc["linear_cost"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance document: {exc!r}") from exc
     return inst, test_id, seed
-
-
-def _integers(values, name: str) -> np.ndarray:
-    """``values`` as int64, or ValidationError if one is not a whole number."""
-    a = np.asarray(values, dtype=np.float64)
-    if not (np.isfinite(a) & (a == np.trunc(a))).all():
-        raise ValidationError(f"{name} must be whole numbers")
-    return a.astype(np.int64)
 
 
 class MethodResult(NamedTuple):

@@ -1,4 +1,8 @@
-"""Shared domain types, validation and the deterministic RNG policy.
+"""Shared domain types and the deterministic RNG policy.
+
+Each type checks its own data when it is built: ``Histogram``,
+``SymCostMatrix`` and ``GaussianMeasure`` convert to float64 and reject a
+non-finite entry before the checks that a NaN would pass.
 
 All arithmetic is float64. Tolerances are fixed library-wide: histogram
 mass HIST_TOL, coupling marginals MARGINAL_TOL (post-solve, solver inits,
@@ -16,6 +20,7 @@ from .errors import (
     AllZero,
     DimensionMismatch,
     NegativeWeight,
+    NonFinite,
     NonSquare,
     NotPSD,
     SumNotOne,
@@ -28,18 +33,32 @@ PROJECTION_DELTA = 1e-12
 PROJECTION_MAX_SWEEPS = 10_000
 
 
-def _as_float_array(x, ndim):
+def _as_float_array(x, ndim, what):
+    """x as a finite float64 array of ndim dimensions; ``what`` names it in errors."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != ndim:
-        raise DimensionMismatch(f"expected {ndim}-d array, got shape {a.shape}")
+        raise DimensionMismatch(f"{what} must be {ndim}-d, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite(f"{what} has a non-finite entry")
     return a
 
 
 @dataclass(frozen=True)
 class Histogram:
-    """Nonnegative weight vector summing to 1."""
+    """Finite nonnegative weights summing to 1 (HIST_TOL); never renormalized."""
 
     weights: np.ndarray
+
+    def __post_init__(self):
+        w = _as_float_array(self.weights, 1, "histogram")
+        if w.shape[0] < 1:
+            raise DimensionMismatch("histogram needs at least one entry")
+        if np.any(w < 0):
+            raise NegativeWeight(f"negative weight at index {int(np.argmin(w))}")
+        s = float(w.sum())
+        if abs(s - 1.0) > HIST_TOL:
+            raise SumNotOne(f"weights sum to {s!r}, expected 1 within {HIST_TOL}")
+        object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
@@ -51,32 +70,16 @@ class Histogram:
         )
 
 
-def validate_histogram(weights) -> Histogram:
-    """Check nonnegativity and unit mass; never renormalizes.
-
-    Raises NegativeWeight or SumNotOne on violation.
-    """
-    w = _as_float_array(weights, 1)
-    if w.shape[0] < 1:
-        raise DimensionMismatch("histogram needs at least one entry")
-    if np.any(w < 0):
-        raise NegativeWeight(f"negative weight at index {int(np.argmin(w))}")
-    s = float(w.sum())
-    if abs(s - 1.0) > HIST_TOL:
-        raise SumNotOne(f"weights sum to {s!r}, expected 1 within {HIST_TOL}")
-    return Histogram(w.copy())
-
-
 def normalize_masses(raw) -> Histogram:
-    """Turn a nonnegative mass vector (e.g. capacities) into a Histogram."""
-    r = _as_float_array(raw, 1)
+    """Turn a finite nonnegative mass vector (e.g. capacities) into a Histogram."""
+    r = _as_float_array(raw, 1, "masses")
     if np.any(r < 0):
         raise NegativeWeight("masses must be nonnegative")
     s = float(r.sum())
     if s <= 0:
         raise AllZero("cannot normalize an all-zero mass vector")
     w = r / s
-    # kill residual roundoff so downstream validation passes exactly
+    # kill residual roundoff so the unit-mass check passes exactly
     w = w / w.sum()
     return Histogram(w)
 
@@ -115,22 +118,24 @@ def marginal_violation(coupling: Coupling) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SymCostMatrix:
-    """Square symmetric structure matrix (pairwise dissimilarities)."""
+    """Square, finite, symmetric (to SYMMETRY_TOL) structure matrix of
+    pairwise dissimilarities."""
 
     entries: np.ndarray
+
+    def __post_init__(self):
+        # finiteness first: an inf pair's difference is NaN, which passes
+        # the symmetry test
+        e = _as_float_array(self.entries, 2, "structure matrix")
+        if e.shape[0] != e.shape[1]:
+            raise NonSquare(f"structure matrix must be square, got {e.shape}")
+        if np.abs(e - e.T).max(initial=0.0) > SYMMETRY_TOL:
+            raise DimensionMismatch("structure matrix is not symmetric")
+        object.__setattr__(self, "entries", e)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-
-def validate_sym_cost(entries) -> SymCostMatrix:
-    e = _as_float_array(entries, 2)
-    if e.shape[0] != e.shape[1]:
-        raise NonSquare(f"structure matrix must be square, got {e.shape}")
-    if np.abs(e - e.T).max(initial=0.0) > SYMMETRY_TOL:
-        raise DimensionMismatch("structure matrix is not symmetric")
-    return SymCostMatrix(e.copy())
 
 
 @dataclass(frozen=True)
@@ -154,27 +159,24 @@ class MmSpace:
 
 @dataclass(frozen=True)
 class GaussianMeasure:
-    """Gaussian measure given by mean vector and PSD covariance."""
+    """Gaussian measure given by a finite mean vector and PSD covariance."""
 
     mean: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        cov = self.covariance
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        mean = _as_float_array(self.mean, 1, "mean")
+        cov = _as_float_array(self.covariance, 2, "covariance")
+        if cov.shape[0] != cov.shape[1]:
             raise NonSquare("covariance must be square")
-        if cov.shape[0] != self.mean.shape[0]:
+        if cov.shape[0] != mean.shape[0]:
             raise DimensionMismatch("mean / covariance dimension mismatch")
         if np.abs(cov - cov.T).max(initial=0.0) > SYMMETRY_TOL:
             raise NotPSD("covariance is not symmetric")
         if np.linalg.eigvalsh(cov).min() < -1e-12:
             raise NotPSD("covariance has a negative eigenvalue")
-
-
-def gaussian_measure(mean, covariance) -> GaussianMeasure:
-    return GaussianMeasure(
-        _as_float_array(mean, 1), _as_float_array(covariance, 2)
-    )
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
 
 
 @dataclass(frozen=True)

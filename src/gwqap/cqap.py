@@ -17,14 +17,14 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .core import Coupling, MmSpace, SymCostMatrix, normalize_masses, validate_sym_cost
+from .core import Coupling, MmSpace, SymCostMatrix, _as_float_array, normalize_masses
 from .errors import (
     DimensionMismatch,
     Infeasible,
     NegativeWeight,
-    NonFinite,
     NoConvergence,
     NonPositiveExact,
+    ValidationError,
 )
 from .gw import FgwProblem, GwProblem
 from .linear_ot import _binary_program, _transport_constraints
@@ -32,6 +32,8 @@ from .linear_ot import _binary_program, _transport_constraints
 
 @dataclass(frozen=True)
 class CqapInstance:
+    """Array fields take array-likes: u and d become int64, the rest float64."""
+
     agent_pos: np.ndarray  # n x k
     task_pos: np.ndarray  # m x k
     capacity: np.ndarray  # n positive ints
@@ -49,19 +51,21 @@ class CqapInstance:
         return self.demand.shape[0]
 
     def __post_init__(self):
-        n, m = self.capacity.shape[0], self.demand.shape[0]
+        for name in ("capacity", "demand"):
+            a = _as_float_array(getattr(self, name), 1, name)
+            if not (a == np.trunc(a)).all():
+                raise ValidationError(f"{name} must be whole numbers")
+            object.__setattr__(self, name, a.astype(np.int64))
+        for name, what in zip(("agent_pos", "task_pos", "linear_cost"),
+                              ("agent positions", "task positions", "linear cost")):
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), 2, what))
+        n, m = self.n, self.m
         F, D, C = self.flow.entries, self.distance.entries, self.linear_cost
-        # the exact oracle prunes on partial costs, a bound only if none is < 0;
-        # a NaN passes that test and the symmetry test below, where an inf
-        # pair's difference is NaN, so finiteness is checked first
+        # the exact oracle prunes on partial costs, a bound only if none is
+        # < 0; all are finite by now (SymCostMatrix checks F and D)
         for name, a in (("flow", F), ("distance", D), ("linear cost", C)):
-            if not np.isfinite(a).all():
-                raise NonFinite(f"{name} has a non-finite entry")
             if np.any(a < 0):
                 raise NegativeWeight(f"{name} has a negative entry")
-        # square and symmetric, as the objective's symmetric form assumes
-        validate_sym_cost(F)
-        validate_sym_cost(D)
         if self.flow.n != n or self.distance.n != m:
             raise DimensionMismatch("flow/distance sizes disagree with u/d")
         if C.shape != (n, m):
@@ -69,12 +73,10 @@ class CqapInstance:
         if np.any(self.capacity < 1) or np.any(self.demand < 1):
             raise DimensionMismatch("capacities and demands must be >= 1")
         P, Q = self.agent_pos, self.task_pos
-        if P.ndim != 2 or P.shape[0] != n or Q.shape != (m, P.shape[1]):
+        if P.shape[0] != n or Q.shape != (m, P.shape[1]):
             raise DimensionMismatch(
                 f"positions are {P.shape} and {Q.shape}, need n x k and m x k"
             )
-        if not (np.isfinite(P).all() and np.isfinite(Q).all()):
-            raise NonFinite("a position has a non-finite entry")
 
     @cached_property
     def own_cost(self) -> np.ndarray:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import SeedPolicy
 from .cqap import AssignmentMatrix, CqapInstance, cqap_objective
+from .errors import ValidationError
 
 UNASSIGNED_PENALTY = 1e6
 CROSSOVER_RATE = 0.9
@@ -40,9 +41,9 @@ class GaConfig:
 
     def __post_init__(self):
         if self.population < 2:
-            raise ValueError("population must be >= 2")
+            raise ValidationError("population must be >= 2")
         if self.generations < 0:
-            raise ValueError("generations must be >= 0")
+            raise ValidationError("generations must be >= 0")
 
 
 def decode(inst: CqapInstance, priority) -> AssignmentMatrix:

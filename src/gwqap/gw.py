@@ -50,10 +50,13 @@ from .core import (
     Coupling,
     MmSpace,
     SeedPolicy,
+    _as_float_array,
     marginal_violation,
     product_coupling,
 )
-from .errors import AlphaOutOfRange, DimensionMismatch, GwqapError, InvalidInit
+from .errors import (
+    AlphaOutOfRange, DimensionMismatch, GwqapError, InvalidInit, ValidationError
+)
 from .linear_ot import TransportLp, sinkhorn, sinkhorn_project, solve_exact_ot
 
 
@@ -84,9 +87,9 @@ class GwProblem:
 
     def __post_init__(self):
         if self.loss not in LOSSES:
-            raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+            raise ValidationError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if not self.concavity >= 0.0:
-            raise ValueError("concavity must be nonnegative")
+            raise ValidationError("concavity must be nonnegative")
 
     @property
     def shape(self):
@@ -106,6 +109,8 @@ class GwProblem:
 
 @dataclass(frozen=True)
 class FgwProblem:
+    """A GW problem plus a finite feature cost M, weighed by 1 - alpha."""
+
     gw: GwProblem
     feature_cost: np.ndarray
     alpha: float
@@ -113,9 +118,11 @@ class FgwProblem:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise AlphaOutOfRange(f"alpha={self.alpha} outside [0, 1]")
-        if self.feature_cost.shape != self.gw.shape:
+        M = _as_float_array(self.feature_cost, 2, "feature cost")
+        object.__setattr__(self, "feature_cost", M)
+        if M.shape != self.gw.shape:
             raise DimensionMismatch(
-                f"feature cost is {self.feature_cost.shape}, "
+                f"feature cost is {M.shape}, "
                 f"problem is {self.gw.shape}"
             )
 
@@ -127,7 +134,7 @@ class MultiInitConfig:
 
     def __post_init__(self):
         if self.trials < 0:
-            raise ValueError("trials >= 0 required")
+            raise ValidationError("trials >= 0 required")
 
 
 @dataclass(frozen=True)
@@ -317,9 +324,8 @@ def solve_entropic_gw(problem: GwProblem, epsilon: float) -> GwSolution:
     inf-norm change drops below EGW_TOL. It reports convergence only if it
     stopped so and the Sinkhorn solve of the returned coupling converged.
     Reported objective is the unregularized GW loss of the returned coupling.
+    ``sinkhorn`` raises ValidationError unless epsilon > 0.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     h, g = problem.source.mass, problem.target.mass
     coupling = problem.default_init()
     converged = False

@@ -12,7 +12,9 @@ from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy import _core as _highs
 
 from .core import MARGINAL_TOL, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS, Coupling, Histogram
-from .errors import DimensionMismatch, NoConvergence, NonSquare, NumericalUnderflow
+from .errors import (
+    DimensionMismatch, NoConvergence, NonSquare, NumericalUnderflow, ValidationError
+)
 
 # switch to log-domain scaling once exp(-C/eps) risks underflow
 _LOG_DOMAIN_RATIO = 500.0
@@ -174,8 +176,8 @@ def sinkhorn(
     n, m = h.n, g.n
     if c.shape != (n, m):
         raise DimensionMismatch(f"cost is {c.shape}, marginals need ({n}, {m})")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not epsilon > 0:
+        raise ValidationError("epsilon must be positive")
 
     if np.abs(c).max(initial=0.0) / epsilon > _LOG_DOMAIN_RATIO:
         plan, iters, converged = _on_support(
@@ -261,8 +263,8 @@ def sinkhorn_project(raw, h: Histogram, g: Histogram) -> Coupling:
     G = np.asarray(raw, dtype=np.float64)
     if G.shape != (h.n, g.n):
         raise DimensionMismatch(f"raw is {G.shape}, marginals need ({h.n}, {g.n})")
-    if np.any(G <= 0):
-        raise ValueError("all entries of raw must be strictly positive")
+    if not (G > 0).all():
+        raise ValidationError("all entries of raw must be strictly positive")
     plan, _, converged = _on_support(
         _scale, G, h.weights, g.weights, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS
     )

@@ -9,6 +9,7 @@ import numpy as np
 
 from gwqap import (
     GaConfig,
+    GaussianMeasure,
     InstanceSpec,
     MethodSpec,
     MmSpace,
@@ -18,7 +19,6 @@ from gwqap import (
     cqap_objective,
     emit_report,
     gap_percent,
-    gaussian_measure,
     generate_instance,
     gw_gradient,
     gw_loss,
@@ -318,7 +318,7 @@ def test_criterion_10_gaussian_w2_properties():
 
     def random_gaussian(dim):
         m = rng.random((dim, dim)) - 0.5
-        return gaussian_measure(rng.random(dim), m @ m.T + 0.1 * np.eye(dim))
+        return GaussianMeasure(rng.random(dim), m @ m.T + 0.1 * np.eye(dim))
 
     worst = 0.0
     for _ in range(100):
@@ -337,20 +337,20 @@ def test_criterion_10_gaussian_w2_properties():
 
         # shifting both means by the same vector changes nothing
         shift = rng.random(dim)
-        a2 = gaussian_measure(a.mean + shift, a.covariance)
-        b2 = gaussian_measure(b.mean + shift, b.covariance)
+        a2 = GaussianMeasure(a.mean + shift, a.covariance)
+        b2 = GaussianMeasure(b.mean + shift, b.covariance)
         worst = max(worst, abs(w2_gaussian(a2, b2) - w2_gaussian(a, b)))
 
         # mean-shift additivity against the equal-covariance case
-        same_cov = gaussian_measure(b.mean, a.covariance)
+        same_cov = GaussianMeasure(b.mean, a.covariance)
         expect = float(np.sum((a.mean - b.mean) ** 2))
         worst = max(worst, abs(w2_gaussian(a, same_cov) - expect))
 
         # diagonal (commuting) case reduces to the Frobenius norm
         da = np.diag(rng.random(dim) + 0.1)
         db = np.diag(rng.random(dim) + 0.1)
-        ga = gaussian_measure(np.zeros(dim), da)
-        gb = gaussian_measure(np.zeros(dim), db)
+        ga = GaussianMeasure(np.zeros(dim), da)
+        gb = GaussianMeasure(np.zeros(dim), db)
         frob = float(((np.sqrt(np.diag(da)) - np.sqrt(np.diag(db))) ** 2).sum())
         worst = max(worst, abs(w2_gaussian(ga, gb) - frob))
     check(10, worst <= 1e-9, f"worst property violation {worst:.2e}")

@@ -96,6 +96,7 @@ class TestInstanceJson:
             ("capacity", [2.5, 3.9, 1.2], "capacity"),
             ("capacity", [2, float("nan"), 1], "capacity"),
             ("demand", [1, 1.5, 1], "demand"),
+            ("capacity", 3, "capacity"),
         ],
     )
     def test_non_integer_fields_rejected(self, field, value, match):

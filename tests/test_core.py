@@ -4,40 +4,110 @@ from hypothesis import given, strategies as st
 
 from gwqap import (
     Coupling,
+    GaussianMeasure,
     Histogram,
+    MethodSpec,
+    MmSpace,
     SeedPolicy,
+    SymCostMatrix,
     marginal_violation,
     normalize_masses,
     product_coupling,
-    validate_histogram,
+    sinkhorn_project,
+    solve_entropic_gw,
 )
-from gwqap.errors import AllZero, NegativeWeight, SumNotOne
+from gwqap.cqap import CqapInstance
+from gwqap.errors import (
+    AllZero,
+    DimensionMismatch,
+    NegativeWeight,
+    NonFinite,
+    NonSquare,
+    SumNotOne,
+    ValidationError,
+)
+from gwqap.gw import FgwProblem, GwProblem
+
+NAN = float("nan")
+UNIF2 = Histogram(np.array([0.5, 0.5]))
+LINE2 = MmSpace(SymCostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])), UNIF2)
+
+
+def _fractional_capacity():
+    one = SymCostMatrix(np.zeros((1, 1)))
+    CqapInstance(np.zeros((1, 2)), np.zeros((1, 2)), np.array([2.5]), np.array([1]),
+                 one, one, np.zeros((1, 1)))
+
+
+def _nan_epsilon():
+    # the suite's method table has long refused it; the solver now does too
+    with pytest.raises(ValidationError):
+        MethodSpec("egw", {"epsilon": NAN})
+    solve_entropic_gw(GwProblem(LINE2, LINE2), NAN)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: SymCostMatrix([[0.0, 1.0], [2.0, 0.0]]), DimensionMismatch),
+        (lambda: SymCostMatrix(np.zeros((2, 3))), NonSquare),
+        (lambda: SymCostMatrix([[0.0, NAN], [NAN, 0.0]]), NonFinite),
+        (lambda: Histogram([NAN, 1.0]), NonFinite),
+        (lambda: Histogram([0.5, 0.5, 0.5]), SumNotOne),
+        (lambda: Histogram([[0.5, 0.5]]), DimensionMismatch),
+        (lambda: normalize_masses([np.inf, 1.0]), NonFinite),
+        (lambda: GaussianMeasure(np.zeros(2), np.array([[1.0, NAN], [NAN, 1.0]])), NonFinite),
+        (_fractional_capacity, ValidationError),
+        (lambda: FgwProblem(GwProblem(LINE2, LINE2), np.array([[NAN, 0.0], [0.0, 0.0]]), 0.5),
+         NonFinite),
+        (lambda: sinkhorn_project(np.full((2, 2), NAN), UNIF2, UNIF2), ValidationError),
+        (_nan_epsilon, ValidationError),
+    ],
+    ids=[
+        "asymmetric-structure", "non-square-structure", "nan-structure",
+        "nan-weight", "mass-1.5", "nested-list-weights", "inf-mass",
+        "nan-covariance", "fractional-capacity", "nan-feature-cost",
+        "nan-projection-input", "nan-epsilon",
+    ],
+)
+def test_each_type_rejects_bad_data(build, error):
+    """Every domain type checks its data when built; nothing reaches a solver
+    unchecked."""
+    with pytest.raises(error):
+        build()
+
+
+def test_types_convert_array_likes():
+    assert Histogram([0.5, 0.5]).weights.dtype == np.float64
+    assert SymCostMatrix([[0, 1], [1, 0]]).entries.dtype == np.float64
+    fgw = FgwProblem(GwProblem(LINE2, LINE2), [[0, 1], [1, 0]], 0.5)
+    assert fgw.feature_cost.dtype == np.float64
 
 
 class TestValidateHistogram:
     def test_uniform_ok(self):
-        h = validate_histogram([0.5, 0.5])
+        h = Histogram([0.5, 0.5])
         assert np.array_equal(h.weights, [0.5, 0.5])
 
     def test_single_atom_ok(self):
-        assert validate_histogram([1.0]).n == 1
+        assert Histogram([1.0]).n == 1
 
     def test_sum_not_one(self):
         with pytest.raises(SumNotOne):
-            validate_histogram([0.6, 0.6])
+            Histogram([0.6, 0.6])
 
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
-            validate_histogram([1.5, -0.5])
+            Histogram([1.5, -0.5])
 
     def test_never_renormalizes(self):
         with pytest.raises(SumNotOne):
-            validate_histogram([0.3, 0.3])
+            Histogram([0.3, 0.3])
 
     @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=20))
     def test_idempotent_on_valid(self, raw):
         h = normalize_masses(np.array(raw))
-        again = validate_histogram(h.weights)
+        again = Histogram(h.weights)
         assert again == h
 
 
@@ -62,7 +132,7 @@ class TestMarginalViolation:
         assert marginal_violation(product_coupling(h, g)) == (0.0, 0.0)
 
     def test_single_entry_perturbation(self):
-        h = validate_histogram([0.5, 0.5])
+        h = Histogram([0.5, 0.5])
         plan = np.outer(h.weights, h.weights)
         plan[0, 0] += 1e-3
         row, col = marginal_violation(Coupling(plan, h, h))
@@ -70,7 +140,7 @@ class TestMarginalViolation:
         assert col == pytest.approx(1e-3)
 
     def test_one_by_one(self):
-        h = validate_histogram([1.0])
+        h = Histogram([1.0])
         assert marginal_violation(Coupling(np.array([[1.0]]), h, h)) == (0.0, 0.0)
 
 

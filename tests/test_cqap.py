@@ -5,6 +5,7 @@ import pytest
 
 from gwqap import (
     Coupling,
+    Histogram,
     InstanceSpec,
     SeedPolicy,
     SymCostMatrix,
@@ -23,7 +24,6 @@ from gwqap import (
     MmSpace,
     solve_gw,
     solve_gw_multi_init,
-    validate_histogram,
 )
 from gwqap.cqap import AssignmentMatrix, CqapInstance, mass_scale
 from gwqap.errors import (
@@ -168,7 +168,7 @@ class TestToFgwProblem:
 class TestCouplingObjective:
     def test_single_point(self):
         inst = make_instance([4], [2], linear=[[3.0]])
-        h = validate_histogram([1.0])
+        h = Histogram([1.0])
         plan = Coupling(np.array([[1.0]]), h, h)
         # quadratic term vanishes (F = D = 0); linear term scales by S = 4
         assert coupling_objective(inst, plan) == 4.0 * 3.0
@@ -204,7 +204,7 @@ class TestRoundCoupling:
 
     def test_one_by_one(self):
         inst = make_instance([4], [2])
-        h = validate_histogram([1.0])
+        h = Histogram([1.0])
         x = round_coupling(inst, Coupling(np.array([[1.0]]), h, h))
         assert np.array_equal(x.x, [[1]])
 

@@ -13,6 +13,7 @@ from gwqap import (
 )
 import gwqap.ga
 from gwqap.cqap import AssignmentMatrix
+from gwqap.errors import ValidationError
 from gwqap.ga import UNASSIGNED_PENALTY, _Draws, _order_crossover, _swap_mutation
 from tests.test_cqap import make_instance
 
@@ -202,13 +203,13 @@ class TestSolveGa:
         assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             GaConfig(population=1)
         # tournaments draw with replacement, so 2 < TOURNAMENT_SIZE is fine
         assert GaConfig(population=2).population == 2
 
     def test_negative_generations_rejected(self):
-        with pytest.raises(ValueError, match="generations"):
+        with pytest.raises(ValidationError, match="generations"):
             GaConfig(generations=-1)
         assert GaConfig(generations=0).generations == 0
 

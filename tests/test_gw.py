@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gwqap import (
     Coupling,
+    Histogram,
     MmSpace,
     SeedPolicy,
     SymCostMatrix,
@@ -20,12 +21,13 @@ from gwqap import (
     solve_fgw,
     solve_gw,
     solve_gw_multi_init,
-    validate_histogram,
 )
 from gwqap import gw
 from gwqap.core import MARGINAL_TOL
 from gwqap.gw import FgwProblem, GwProblem, MultiInitConfig
-from gwqap.errors import AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence
+from gwqap.errors import (
+    AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence, ValidationError
+)
 
 
 def naive_loss(C1, C2, plan):
@@ -82,7 +84,7 @@ class TestGwLoss:
         assert gw_loss(prob, plan) == pytest.approx(0.0, abs=1e-10)
 
     def test_one_by_one(self):
-        h = validate_histogram([1.0])
+        h = Histogram([1.0])
         space = MmSpace(SymCostMatrix(np.zeros((1, 1))), h)
         prob = GwProblem(space, space)
         assert gw_loss(prob, Coupling(np.array([[1.0]]), h, h)) == 0.0
@@ -157,7 +159,7 @@ class TestProductLoss:
 
     def test_unknown_loss_rejected(self):
         rng = np.random.default_rng(6)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             GwProblem(random_space(rng, 2), random_space(rng, 2), loss="cube")
 
     def test_concave_frank_wolfe_takes_full_steps_to_a_vertex(self):
@@ -194,7 +196,7 @@ class TestGwGradient:
         # expand the 16-term sum at the product plan by explicit loops
         C1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         C2 = np.array([[0.0, 2.0], [2.0, 0.0]])
-        h = validate_histogram([0.5, 0.5])
+        h = Histogram([0.5, 0.5])
         src = MmSpace(SymCostMatrix(C1), h)
         tgt = MmSpace(SymCostMatrix(C2), h)
         prob = GwProblem(src, tgt)
@@ -229,7 +231,7 @@ class TestSolveGw:
             assert sol.objective <= 1e-8
 
     def test_one_by_one(self):
-        h = validate_histogram([1.0])
+        h = Histogram([1.0])
         space = MmSpace(SymCostMatrix(np.zeros((1, 1))), h)
         sol = solve_gw(GwProblem(space, space))
         assert np.array_equal(sol.coupling.plan, [[1.0]])
@@ -485,7 +487,7 @@ class TestEntropicGw:
         assert sol_large.objective >= solve_gw(prob).objective
 
     def test_one_by_one(self):
-        h = validate_histogram([1.0])
+        h = Histogram([1.0])
         space = MmSpace(SymCostMatrix(np.zeros((1, 1))), h)
         sol = solve_entropic_gw(GwProblem(space, space), epsilon=0.3)
         assert np.allclose(sol.coupling.plan, [[1.0]])
@@ -542,7 +544,7 @@ class TestFgw:
     def test_alpha_half_two_by_two_grid_search(self):
         # uniform 2x2 couplings form a segment [[t, .5-t], [.5-t, t]]
         rng = np.random.default_rng(9)
-        h = validate_histogram([0.5, 0.5])
+        h = Histogram([0.5, 0.5])
         C1 = np.array([[0.0, 1.0], [1.0, 0.0]])
         C2 = np.array([[0.0, 2.5], [2.5, 0.0]])
         M = rng.uniform(0, 3, size=(2, 2))

@@ -10,14 +10,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from gwqap import (
-    gaussian_measure,
+    GaussianMeasure,
+    Histogram,
     normalize_masses,
     marginal_violation,
     sinkhorn,
     sinkhorn_project,
     solve_exact_ot,
     solve_lap,
-    validate_histogram,
     w2_gaussian,
 )
 from gwqap import linear_ot
@@ -27,7 +27,7 @@ from gwqap.errors import (
 )
 from gwqap.linear_ot import TransportLp, _transport_constraints
 
-UNIF2 = validate_histogram([0.5, 0.5])
+UNIF2 = Histogram([0.5, 0.5])
 
 
 def _transportation_lp(c, h, g):
@@ -111,8 +111,8 @@ class TestSolveExactOt:
         assert obj == pytest.approx(lap_obj / n, rel=1e-12)
 
     def test_zero_mass_atoms_forced_to_zero(self):
-        h = validate_histogram([0.0, 1.0])
-        g = validate_histogram([0.5, 0.5])
+        h = Histogram([0.0, 1.0])
+        g = Histogram([0.5, 0.5])
         coupling, _ = solve_exact_ot(np.ones((2, 2)), h, g)
         assert np.all(coupling.plan[0] == 0.0)
         assert marginal_violation(coupling) == (0.0, 0.0)
@@ -224,7 +224,7 @@ class TestSinkhorn:
         assert obj == 0.0
 
     def test_one_by_one(self):
-        h = validate_histogram([1.0])
+        h = Histogram([1.0])
         coupling, obj, _, _ = sinkhorn(np.array([[3.5]]), h, h, 0.5)
         assert np.allclose(coupling.plan, [[1.0]])
         assert obj == pytest.approx(3.5)
@@ -371,29 +371,29 @@ def test_zero_mass_atoms_keep_the_marginal_contract(n, m, seed, zero_in):
 
 class TestW2Gaussian:
     def test_identity_case(self):
-        a = gaussian_measure([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
+        a = GaussianMeasure([1.0, 2.0], [[2.0, 0.3], [0.3, 1.0]])
         assert w2_gaussian(a, a) == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_commuting_frobenius(self):
         # trace(4 + 1 - 2*2) = 1 = (2 - 1)^2
-        a = gaussian_measure([0.0], [[4.0]])
-        b = gaussian_measure([0.0], [[1.0]])
+        a = GaussianMeasure([0.0], [[4.0]])
+        b = GaussianMeasure([0.0], [[1.0]])
         assert w2_gaussian(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_mean_shift(self):
         cov = [[1.0, 0.0], [0.0, 1.0]]
-        a = gaussian_measure([0.0, 0.0], cov)
-        b = gaussian_measure([3.0, 0.0], cov)
+        a = GaussianMeasure([0.0, 0.0], cov)
+        b = GaussianMeasure([3.0, 0.0], cov)
         assert w2_gaussian(a, b) == pytest.approx(9.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(1)
         m = rng.random((3, 3))
-        a = gaussian_measure(rng.random(3), m @ m.T)
+        a = GaussianMeasure(rng.random(3), m @ m.T)
         m2 = rng.random((3, 3))
-        b = gaussian_measure(rng.random(3), m2 @ m2.T)
+        b = GaussianMeasure(rng.random(3), m2 @ m2.T)
         assert w2_gaussian(a, b) == pytest.approx(w2_gaussian(b, a), abs=1e-10)
 
     def test_not_psd(self):
         with pytest.raises(NotPSD):
-            gaussian_measure([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+            GaussianMeasure([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])

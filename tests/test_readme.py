@@ -1,8 +1,10 @@
-"""README's "Fixed settings" list agrees with the code.
+"""README's "Fixed settings" list and "Library quick start" agree with the code.
 
 Every `` `module.NAME = value` `` entry in that section names a constant of
 ``gwqap.<module>``; the test evaluates the value as a Python literal and
 compares it, type included, with the constant, so the list cannot drift.
+The quick-start block is run as it stands, so a name it imports cannot leave
+the API unnoticed.
 """
 
 import ast
@@ -14,11 +16,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 ENTRY = re.compile(r"`(\w+)\.(_?[A-Z][A-Z0-9_]*) = ([^`]+)`")
 
 
+def section(title):
+    return README.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def fixed_settings():
-    text = README.read_text()
-    section = text.split("\n## Fixed settings\n", 1)[1].split("\n## ", 1)[0]
     # an entry may wrap onto the next line of the list
-    return ENTRY.findall(" ".join(section.split()))
+    return ENTRY.findall(" ".join(section("Fixed settings").split()))
 
 
 def test_fixed_settings_match_the_code():
@@ -33,3 +37,10 @@ def test_fixed_settings_match_the_code():
         assert (type(actual), actual) == (type(documented), documented), (
             f"README says {module}.{name} = {value}, the code has {actual!r}"
         )
+
+
+def test_library_quick_start_runs(capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", section("Library quick start"), re.S)
+    exec(compile(block, "README quick start", "exec"), {})
+    objective, optimum, proven = capsys.readouterr().out.split()
+    assert float(objective) >= float(optimum) and proven == "True"
