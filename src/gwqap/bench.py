@@ -13,8 +13,8 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -29,6 +29,7 @@ from .cqap import (
     gap_percent,
     round_coupling,
     solve_exact_enum,
+    to_fgw_problem,
     to_gw_problem,
 )
 from .errors import (
@@ -40,7 +41,7 @@ from .errors import (
 )
 from .ga import GaConfig, solve_ga
 from .gw import (
-    FgwProblem, MultiInitConfig, solve_entropic_gw, solve_fgw, solve_gw, solve_gw_multi_init
+    MultiInitConfig, solve_entropic_gw, solve_fgw, solve_gw, solve_gw_multi_init
 )
 
 INSTANCE_SCHEMA = "cqap/1"
@@ -133,6 +134,9 @@ class MethodSpec:
         unknown = sorted(set(self.params) - set(method.defaults))
         if unknown:
             raise ValidationError(f"method {self.name!r} takes no parameter {unknown}")
+        bad = {k: v for k, v in self.params.items() if not isinstance(v, numbers.Real)}
+        if bad:
+            raise ValidationError(f"method {self.name!r} parameters must be numbers: {bad}")
         p = self.settings
         if method.config:
             method.config(**p)
@@ -314,15 +318,14 @@ def solve_with_method(
         ok, _ = check_feasible(inst, x)
         return MethodResult(obj, obj, ok, len(history) - 1, "ok")
 
-    problem = to_gw_problem(inst)
-    if name == "gw":
-        sol = solve_gw(problem)
+    if name == "fgw":
+        sol = solve_fgw(to_fgw_problem(inst, p["alpha"]))
+    elif name == "gw":
+        sol = solve_gw(to_gw_problem(inst))
     elif name == "gw-multi":
-        sol = solve_gw_multi_init(problem, MultiInitConfig(**p, seed=seed))
-    elif name == "egw":
-        sol = solve_entropic_gw(problem, epsilon=p["epsilon"])
+        sol = solve_gw_multi_init(to_gw_problem(inst), MultiInitConfig(**p, seed=seed))
     else:
-        sol = solve_fgw(FgwProblem(problem, inst.linear_cost, p["alpha"]))
+        sol = solve_entropic_gw(to_gw_problem(inst), epsilon=p["epsilon"])
 
     relaxed = coupling_objective(inst, sol.coupling)
     rounded = round_coupling(inst, sol.coupling)
@@ -340,18 +343,21 @@ def run_suite(
 ) -> list[SolveReport]:
     """Solve every (instance, method) cell and collect reports.
 
-    Cells are independent and may run on several worker threads; reports are
-    reduced in (instance, method) order so output is identical for any
-    worker count. Per-cell failures become status entries, never aborts.
-    Each cell's runtime is one wall-clock measurement.
+    Cells run one after another on the calling thread, in (instance,
+    method) order; each draws from its own seed substream, so the reports
+    depend only on the seeds. Per-cell failures become status entries,
+    never aborts. Each cell's runtime is one wall-clock measurement.
+    ``workers`` must be 1; it stays only for callers that still pass it.
     """
+    if workers != 1:
+        raise ValidationError(f"the suite runs on one thread, got workers={workers!r}")
     if not specs or not methods:
         raise NonEmptyRequired("specs and methods must both be non-empty")
     instances = [(spec, generate_instance(spec)) for spec in specs]
-    return _solve_cells(instances, methods, workers, measure_time)
+    return _solve_cells(instances, methods, measure_time)
 
 
-def _solve_cells(instances, methods, workers, measure_time):
+def _solve_cells(instances, methods, measure_time):
     def run(spec, inst, method):
         t0 = time.perf_counter()
         try:
@@ -364,27 +370,21 @@ def _solve_cells(instances, methods, workers, measure_time):
             res, elapsed = MethodResult(None, None, None, 0, f"{kind}: {exc}"), 0.0
         return res, elapsed
 
-    # one oracle run per instance: it is the Exact cell and, when proven,
-    # the optimum of every gap
-    exact = [run(spec, inst, MethodSpec("exact")) for spec, inst in instances]
-    cells = [(idx, method) for idx in range(len(instances)) for method in methods]
-
-    def run_cell(cell):
-        idx, method = cell
-        spec, inst = instances[idx]
-        oracle = exact[idx][0]
-        res, elapsed = exact[idx] if method.name == "exact" else run(spec, inst, method)
-        gap = None
-        if oracle.status == "ok" and res.binary is not None and res.feasible:
-            gap = gap_percent(res.binary, oracle.binary)
-        return SolveReport.of(
-            spec.test_id, method, res, gap, elapsed, spec.seed.master_seed
-        )
-
-    if workers <= 1:
-        return [run_cell(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_cell, cells))
+    reports = []
+    for spec, inst in instances:
+        # one oracle run per instance: it is the Exact cell and, when it
+        # proves a positive optimum, the reference of every gap
+        exact = run(spec, inst, MethodSpec("exact"))
+        optimum = exact[0].binary if exact[0].status == "ok" else 0.0
+        for method in methods:
+            res, elapsed = exact if method.name == "exact" else run(spec, inst, method)
+            gap = None
+            if optimum > 0 and res.binary is not None and res.feasible:
+                gap = gap_percent(res.binary, optimum)
+            reports.append(SolveReport.of(
+                spec.test_id, method, res, gap, elapsed, spec.seed.master_seed
+            ))
+    return reports
 
 
 def _method_stream(method: MethodSpec) -> int:
@@ -407,7 +407,7 @@ def sweep(
     if len(set(values)) != len(values):
         raise ValidationError(f"duplicate {key} values in grid")
     methods = [MethodSpec(method, {key: v}) for v in values]
-    return _solve_cells([(spec, inst)], methods, 1, True)
+    return _solve_cells([(spec, inst)], methods, True)
 
 
 def _fmt(value) -> str:

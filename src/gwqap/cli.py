@@ -127,19 +127,16 @@ def solve(inst_path, method, seed, out, **flags):
 @click.option("--methods", required=True, help="Comma-separated method names.")
 @click.option("--seed", type=int, default=0)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json", "markdown"]), default="csv")
-@click.option("--workers", type=int, default=1)
 @click.option("--no-timing", is_flag=True, help="Zero runtimes for byte-reproducible output.")
 @click.option("--out", type=click.Path(), required=True)
-def bench(specs, methods, seed, fmt, workers, no_timing, out):
+def bench(specs, methods, seed, fmt, no_timing, out):
     """Run the full suite over named specs and methods."""
     spec_list = [
         InstanceSpec.named(s.strip(), SeedPolicy(seed, stream_id=i))
         for i, s in enumerate(specs.split(","))
     ]
     method_list = [MethodSpec(m.strip()) for m in methods.split(",")]
-    reports = run_suite(
-        spec_list, method_list, workers=workers, measure_time=not no_timing
-    )
+    reports = run_suite(spec_list, method_list, measure_time=not no_timing)
     with open(out, "wb") as fh:
         fh.write(emit_report(reports, fmt))
     click.echo(f"wrote {len(reports)} reports to {out}")

@@ -40,10 +40,10 @@ class GaConfig:
     seed: SeedPolicy = field(default_factory=lambda: SeedPolicy(0))
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValidationError("population must be >= 2")
-        if self.generations < 0:
-            raise ValidationError("generations must be >= 0")
+        for name, low in (("population", 2), ("generations", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ValidationError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
 def decode(inst: CqapInstance, priority) -> AssignmentMatrix:

@@ -133,8 +133,8 @@ class MultiInitConfig:
     seed: SeedPolicy = field(default_factory=lambda: SeedPolicy(0))
 
     def __post_init__(self):
-        if self.trials < 0:
-            raise ValidationError("trials >= 0 required")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < 0:
+            raise ValidationError(f"trials must be >= 0 and an integer, got {self.trials!r}")
 
 
 @dataclass(frozen=True)

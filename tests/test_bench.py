@@ -175,7 +175,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(bench, "solve_gw", broken)
         methods = [MethodSpec("exact"), MethodSpec("gw"), MethodSpec("fgw")]
-        exact, gw, fgw = bench._solve_cells([(spec, inst)], methods, 1, True)
+        exact, gw, fgw = bench._solve_cells([(spec, inst)], methods, True)
         assert exact.status == "Infeasible: no agent can hold the demand of task 1"
         assert gw.status == "error: Frank-Wolfe broke"
         for failed in (exact, gw):
@@ -199,15 +199,25 @@ class TestRunSuite:
             if r.gap_pct is not None:
                 assert r.gap_pct == gap_percent(r.objective_binary, exact.objective_binary)
 
-    def test_deterministic_across_runs_and_workers(self):
+    def test_deterministic_across_runs(self):
         specs = [InstanceSpec.named("S1", SeedPolicy(3))]
         methods = [MethodSpec("gw"), MethodSpec("gw-multi", {"trials": 3})]
         a = emit_report(run_suite(specs, methods, measure_time=False), "csv")
         b = emit_report(run_suite(specs, methods, measure_time=False), "csv")
-        c = emit_report(
-            run_suite(specs, methods, measure_time=False, workers=4), "csv"
-        )
-        assert a == b == c
+        assert a == b
+
+    def test_runs_on_one_thread(self):
+        from pathlib import Path
+
+        import gwqap
+
+        specs = [InstanceSpec.named("S1", SeedPolicy(3))]
+        with pytest.raises(ValidationError, match="one thread"):
+            run_suite(specs, [MethodSpec("gw")], workers=2)
+        (row,) = run_suite(specs, [MethodSpec("gw")], workers=1, measure_time=False)
+        assert row.status == "ok"
+        for source in Path(gwqap.__file__).parent.glob("*.py"):
+            assert "concurrent" not in source.read_text(), source.name
 
     def test_each_cell_runs_once_when_timed(self, monkeypatch):
         import gwqap.bench as bench
@@ -299,8 +309,13 @@ class TestMethodSpec:
     def test_bad_param_values_rejected(self):
         for name, params in (
             ("gw-multi", {"trials": -1}),
+            ("gw-multi", {"trials": 1.5}),
             ("ga", {"population": 1}),
+            ("ga", {"population": 2.5, "generations": 2}),
+            ("ga", {"generations": 2.0}),
             ("egw", {"epsilon": 0.0}),
+            ("egw", {"epsilon": "0.5"}),
+            ("fgw", {"alpha": "0.5"}),
         ):
             with pytest.raises(ValidationError):
                 MethodSpec(name, params)

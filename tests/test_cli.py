@@ -246,6 +246,37 @@ def test_sweep_runs_on_the_files_instance(tmp_path):
     assert float(row[4]) == solved["objective_binary"]
 
 
+def test_sweep_zero_optimum_records_every_row(tmp_path):
+    # the oracle proves objective 0, so no row has a gap, but each is recorded
+    path = tmp_path / "zero.json"
+    zero = make_instance(
+        [2, 2], [1, 1], distance=[[0, 1], [1, 0]], linear=[[0, 1], [1, 0]]
+    )
+    path.write_text(instance_to_json(zero))
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--kind", "alpha", "--inst", str(path), "--grid", "0.5",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    (row,) = csv.DictReader(io.StringIO(out.read_text()))
+    assert row["status"] == "ok" and row["objective_binary"] == "0"
+    assert row["gap_pct"] == ""
+
+
+def test_bench_has_no_workers_option(tmp_path):
+    runner = CliRunner()
+    assert "--workers" not in runner.invoke(main, ["bench", "--help"]).output
+    result = runner.invoke(
+        main,
+        ["bench", "--specs", "S1", "--methods", "gw", "--workers", "2",
+         "--out", str(tmp_path / "r.csv")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--workers" in result.output
+
+
 def test_sweep_on_generated_file_matches_library(tmp_path):
     from gwqap import InstanceSpec, SeedPolicy, emit_report, generate_instance, sweep
 

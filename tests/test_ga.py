@@ -203,14 +203,16 @@ class TestSolveGa:
         assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_config_validation(self):
-        with pytest.raises(ValidationError):
-            GaConfig(population=1)
+        for population in (1, 2.5):
+            with pytest.raises(ValidationError):
+                GaConfig(population=population)
         # tournaments draw with replacement, so 2 < TOURNAMENT_SIZE is fine
         assert GaConfig(population=2).population == 2
 
     def test_negative_generations_rejected(self):
-        with pytest.raises(ValidationError, match="generations"):
-            GaConfig(generations=-1)
+        for generations in (-1, 2.0):
+            with pytest.raises(ValidationError, match="generations"):
+                GaConfig(generations=generations)
         assert GaConfig(generations=0).generations == 0
 
 
