@@ -292,9 +292,12 @@ def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSoluti
     Random trial t draws Uniform(0,1) + INIT_JITTER from its own derived
     RNG stream, projects onto the coupling polytope by alternating
     rescaling (to PROJECTION_DELTA), solves, and the lowest-objective
-    solution wins. Ties break on the earliest trial (default init first). A trial that
-    raises a library error is skipped and listed in ``failed_trials``; any
-    other exception propagates. All starts share one transport model.
+    solution wins; only an exactly equal objective goes to the earlier trial
+    (default init first). Starts that reach the same coupling can differ in
+    the last bits of their objective, and then the lower value wins, not the
+    earlier start. A trial that raises a library error is skipped and listed
+    in ``failed_trials``; any other exception propagates. All starts share
+    one transport model.
     """
     n, m = problem.shape
     h, g = problem.source.mass, problem.target.mass

@@ -49,7 +49,8 @@ def solve_exact_ot(
     marginals and returns a basic optimal solution (at most n+m-1 support
     entries), as required by the conditional-gradient callers. A
     ``TransportLp`` built for (h, g) and passed as ``model`` is re-solved
-    from its last basis; without one the LP is solved from scratch.
+    from its last basis; without one a fresh model solves the LP from the
+    north-west-corner basis.
     """
     c = np.asarray(cost, dtype=np.float64)
     n, m = h.n, g.n
@@ -67,11 +68,12 @@ def solve_exact_ot(
 class TransportLp:
     """The transportation LP of fixed marginals (h, g) as one HiGHS model.
 
-    Each ``solve`` changes only the costs and restarts dual simplex from
-    the previous optimal basis, so a sequence of costs, as Frank-Wolfe
-    produces, costs a fraction of cold solves. Every answer is a basic
-    optimal plan; a zero-mass atom's row or column sums to zero, so its
-    entries are zero.
+    Each ``solve`` changes only the costs and runs primal simplex from the
+    basis the model stands on: a fresh or reset model stands on the
+    north-west-corner basis, and after a solve on its optimal basis. Both
+    are primal feasible, so a sequence of costs, as Frank-Wolfe produces,
+    needs few pivots per LP. Every answer is a basic optimal plan; a
+    zero-mass atom's row or column sums to zero, so its entries are zero.
 
     A multi-init builds one model for all of its starts. Each Frank-Wolfe
     solve calls ``reset`` first, so it runs the same LP sequence, bit for
@@ -90,18 +92,57 @@ class TransportLp:
             b,
             b,
             solver="simplex",
-            simplex_strategy=1,  # dual simplex
+            simplex_strategy=4,  # primal simplex
         )
+        self._start = _north_west_basis(h.weights, g.weights)
+        self.reset()
 
     def reset(self):
-        """Drop the last basis, so the next solve starts cold."""
-        self._model.clearSolver()
+        """Put back the north-west-corner basis, so the next solve starts
+        from it as a fresh model's does."""
+        self._model.setBasis(self._start)
 
     def solve(self, cost: np.ndarray) -> np.ndarray:
         self._model.changeColsCost(self._index.size, self._index, cost.ravel())
         plan = _highs_solution(self._model, "transportation LP").reshape(self.shape)
         np.clip(plan, 0.0, None, out=plan)
         return plan
+
+
+def _north_west_basis(h, g):
+    """The north-west-corner basis of the transportation LP of (h, g).
+
+    The rule walks a staircase from cell (0, 0) to (n-1, m-1), moving down
+    once a row's mass is used up and right otherwise; its n+m-1 cells are a
+    spanning tree, so they are the basic columns, with the last row's slack
+    because the rows have rank n+m-1. The basis's plan ships min(supply,
+    demand) along the walk, so it is feasible; a tie or a zero-mass atom
+    only puts a zero on the staircase.
+    """
+    n, m = h.size, g.size
+    basic, lower = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kLower
+    cols = [lower] * (n * m)
+    i = j = 0
+    supply, demand = h[0], g[0]
+    while True:
+        cols[i * m + j] = basic
+        if i == n - 1 and j == m - 1:
+            break
+        if j == m - 1 or (i < n - 1 and supply <= demand):
+            demand -= supply
+            i += 1
+            supply = h[i]
+        else:
+            supply -= demand
+            j += 1
+            demand = g[j]
+    basis = _highs.HighsBasis()
+    basis.col_status = cols
+    basis.row_status = [lower] * (n + m - 1) + [basic]
+    # HiGHS refuses a non-alien basis with the wrong number of basic
+    # variables, where it would repair an alien one and accept it
+    basis.alien = False
+    return basis
 
 
 def _transport_constraints(n, m):

@@ -262,13 +262,13 @@ class TestSolveGw:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     # objective, iterations and plan digest of the square-loss solves below,
-    # recorded with the three-contraction Frank-Wolfe that recomputed C1**2
-    # and C2**2 on every cross term
+    # recorded with the exact-OT steps run by primal simplex from the
+    # north-west-corner basis
     SQUARE_PINS = {
-        (0, "default"): ("0x1.feeb42efd2fc1p+2", 5, "33d94b5bcf2262ee"),
-        (0, "random"): ("0x1.795889a850146p+2", 7, "c27735dda20ccfac"),
-        (1, "default"): ("0x1.b57ec6f0c643bp+2", 5, "ba7594caf60664db"),
-        (1, "random"): ("0x1.9cfb73c14e26dp+2", 3, "f28a2f8df14e9d4e"),
+        (0, "default"): ("0x1.feeb42efd2fc7p+2", 5, "123271292037e0b2"),
+        (0, "random"): ("0x1.795889a850146p+2", 7, "39b76dcaba18308a"),
+        (1, "default"): ("0x1.b57ec6f0c643cp+2", 5, "d1e7332aee882ad0"),
+        (1, "random"): ("0x1.9cfb73c14e268p+2", 3, "ee5795fb85a9b1b3"),
     }
 
     @pytest.mark.parametrize("seed", (0, 1))

@@ -178,6 +178,32 @@ class TestTransportLp:
         for a, b in zip(run(reused), fresh):
             assert np.array_equal(a, b)
 
+    def test_solve_after_reset_starts_from_the_north_west_corner(self):
+        # on a Monge cost the north-west-corner basis is optimal, so a solve
+        # that starts from it returns its plan without a simplex iteration
+        rng = np.random.default_rng(3)
+        for n, m, zero_h, zero_g in self.CASES:
+            h, g = self._random(rng, n, m, zero_h, zero_g)
+            x, y = np.sort(rng.random(n)), np.sort(rng.random(m))
+            monge = (x[:, None] - y[None, :]) ** 2
+            model = TransportLp(h, g)
+            for _ in range(2):
+                plan = model.solve(monge)
+                assert model._model.getInfo().simplex_iteration_count == 0
+                assert np.allclose(
+                    plan, _north_west_plan(h.weights, g.weights), rtol=0, atol=1e-15
+                )
+                model.solve(rng.uniform(0, 10, size=(n, m)))  # moves the basis
+                model.reset()
+
+
+def _north_west_plan(h, g):
+    """The north-west-corner plan: cell (i, j) carries the overlap of row
+    i's and column j's intervals of cumulative mass."""
+    H, G = np.cumsum(h), np.cumsum(g)
+    overlap = np.minimum.outer(H, G) - np.maximum.outer(H - h, G - g)
+    return np.clip(overlap, 0.0, None)
+
 
 def _backend_references(tree):
     """The imports from scipy.optimize and the uses of the name ``_highs``
@@ -197,6 +223,51 @@ def _backend_references(tree):
             named |= {node.name, node.asname}
         if "_highs" in named:
             yield getattr(node, "lineno", None), "names _highs"
+
+
+# the HiGHS objects linear_ot holds: by the function or class that holds
+# them, the name it holds each under and the binding class it is made from
+_HIGHS_HOLDERS = {
+    "_highs_model": {"lp": "HighsLp", "model": "_Highs"},
+    "_highs_solution": {"model": "_Highs"},
+    "_north_west_basis": {"basis": "HighsBasis"},
+    "TransportLp": {"_model": "_Highs"},
+}
+
+
+def _binding_uses(tree):
+    """The names a module looks up on scipy's HiGHS bindings, as dotted
+    paths in ``_core``: each attribute chain rooted at ``_highs``, and each
+    attribute of an object that ``_HIGHS_HOLDERS`` names."""
+    for top in tree.body:
+        held = _HIGHS_HOLDERS.get(getattr(top, "name", None), {})
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Attribute):
+                continue
+            chain, base = [node.attr], node.value
+            while isinstance(base, ast.Attribute):
+                chain.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id == "_highs":
+                yield ".".join(chain)
+            holder = getattr(node.value, "id", getattr(node.value, "attr", None))
+            if holder in held:
+                yield f"{held[holder]}.{node.attr}"
+
+
+def test_linear_ot_uses_only_bindings_the_installed_scipy_has():
+    # the CI floor job runs the oldest scipy pyproject.toml allows; a
+    # binding it lacks shows here by name
+    def lookup(name):
+        obj = linear_ot._highs
+        for attr in name.split("."):
+            obj = getattr(obj, attr, None)
+        return obj
+
+    uses = set(_binding_uses(ast.parse(Path(linear_ot.__file__).read_text())))
+    assert [name for name in sorted(uses) if lookup(name) is None] == []
+    # the start basis's bindings are among those checked
+    assert {"HighsBasis", "HighsBasisStatus.kBasic", "_Highs.setBasis"} <= uses
 
 
 def test_only_linear_ot_talks_to_the_solver_backend():
