@@ -199,7 +199,9 @@ def round_coupling(inst: CqapInstance, plan: Coupling) -> AssignmentMatrix:
     which part of task j each agent holds. The rounding is the assignment
     nearest to Y in Frobenius norm under the CQAP's capacity constraints
     that leaves the fewest tasks uncovered: a generalized assignment
-    problem solved exactly as a MILP. A descent then moves one task to
+    problem solved exactly as a MILP. When several assignments are equally
+    near, HiGHS's search picks the one returned, so a HiGHS release or a
+    solver option can change the pick. A descent then moves one task to
     another agent, or swaps the agents of two tasks, while that lowers the
     CQAP objective and keeps every load within capacity. On an instance no
     assignment satisfies, the result covers as many tasks as possible and

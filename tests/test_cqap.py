@@ -81,6 +81,19 @@ def brute_force_optimum(inst):
     return best
 
 
+def _nearest_by_enumeration(inst, shares):
+    """Least value of (2nm + 1) * uncovered tasks + sum x (1 - 2 shares) over
+    the (n + 1)^m choices of one agent or none per task within capacity."""
+    n, m = inst.n, inst.m
+    cost = np.vstack([1.0 - 2.0 * shares, np.full((1, m), 2.0 * n * m + 1.0)])
+    choice = np.array(list(itertools.product(range(n + 1), repeat=m)))
+    loads = np.stack(
+        [((choice == i) * inst.demand).sum(axis=1) for i in range(n)], axis=1
+    )
+    fits = (loads <= inst.capacity).all(axis=1)
+    return cost[choice, np.arange(m)].sum(axis=1)[fits].min()
+
+
 class TestCqapObjective:
     def test_all_zero_assignment(self):
         inst = make_instance([2, 2], [1, 1])
@@ -278,6 +291,46 @@ class TestRoundCoupling:
         assert A.shape == ref.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, part), getattr(ref, part)), part
+
+    # S3/S4 instances, seeds 0-5: most have no feasible assignment, and
+    # presolve leaves most of their rounding MILPs open
+    NEAREST_CASES = [(sid, seed) for sid in ("S3", "S4") for seed in range(6)]
+
+    def test_nearest_assignment_matches_brute_force(self, monkeypatch):
+        from gwqap import linear_ot
+        from gwqap.cqap import _nearest_assignment
+
+        # the MILP's branch-and-bound node count, from the HiGHS model run
+        nodes = []
+        solve = linear_ot._highs_solution
+
+        def spy(model, what):
+            x = solve(model, what)
+            nodes.append(model.getInfo().mip_node_count)
+            return x
+
+        monkeypatch.setattr(linear_ot, "_highs_solution", spy)
+        uncovered = []
+        for sid, seed in self.NEAREST_CASES:
+            inst = generate_instance(InstanceSpec.named(sid, SeedPolicy(seed)))
+            n, m = inst.n, inst.m
+            rng = np.random.default_rng(seed)
+            shares = rng.dirichlet(np.full(n, 0.5), size=m).T
+            # exactly tied shares: two agents equally near in columns 0 and 1
+            shares[:, :2] = 0.0
+            shares[rng.permutation(n)[:3], 0] = [0.4, 0.4, 0.2]
+            shares[rng.permutation(n)[:2], 1] = [0.5, 0.5]
+            x = _nearest_assignment(inst, shares)
+            assert (x @ inst.demand <= inst.capacity).all()
+            missed = int((x.sum(axis=0) == 0).sum())
+            value = (x * (1.0 - 2.0 * shares)).sum() + (2 * n * m + 1) * missed
+            best = _nearest_by_enumeration(inst, shares)
+            # ties are legal, so compare values, not assignments
+            assert value == pytest.approx(best, abs=1e-9), (sid, seed)
+            uncovered.append(missed)
+        assert sum(k > 0 for k in uncovered) >= 3  # instances with no assignment
+        assert sum(k == 0 for k in uncovered) >= 3
+        assert sum(k > 0 for k in nodes) >= len(nodes) // 2  # presolve left open
 
     def test_infeasible_instance_covers_what_capacity_allows(self):
         # task 1 (demand 3) fits no agent; task 0 still gets covered

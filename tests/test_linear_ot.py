@@ -24,6 +24,7 @@ from gwqap import linear_ot
 from gwqap.core import MARGINAL_TOL, PROJECTION_DELTA
 from gwqap.errors import (
     DimensionMismatch, NoConvergence, NonSquare, NotPSD, NumericalUnderflow,
+    ValidationError,
 )
 from gwqap.linear_ot import TransportLp, _transport_constraints
 
@@ -268,6 +269,48 @@ def test_linear_ot_uses_only_bindings_the_installed_scipy_has():
     assert [name for name in sorted(uses) if lookup(name) is None] == []
     # the start basis's bindings are among those checked
     assert {"HighsBasis", "HighsBasisStatus.kBasic", "_Highs.setBasis"} <= uses
+
+
+def _highs_options(tree):
+    """(name, value) of each HiGHS option a module sets: the keywords of its
+    ``_highs_model`` calls (``integer`` is no option) and the literal keys
+    of the option dict in ``_highs_model`` itself."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_highs_model":
+            for keyword in node.keywords:
+                if keyword.arg != "integer":
+                    yield keyword.arg, ast.literal_eval(keyword.value)
+        if isinstance(node, ast.FunctionDef) and node.name == "_highs_model":
+            for table in ast.walk(node):
+                if isinstance(table, ast.Dict):
+                    for key, value in zip(table.keys, table.values):
+                        if key is not None:
+                            yield ast.literal_eval(key), ast.literal_eval(value)
+
+
+def test_installed_highs_accepts_every_option_linear_ot_sets():
+    # a HiGHS release that drops or renames an option shows here by name
+    options = dict(_highs_options(ast.parse(Path(linear_ot.__file__).read_text())))
+    refused = [
+        name for name, value in options.items()
+        if linear_ot._highs._Highs().setOptionValue(name, value)
+        != linear_ot._highs.HighsStatus.kOk
+    ]
+    assert refused == []
+    assert {
+        "output_flag", "solver", "simplex_strategy", "mip_pool_soft_limit",
+        "mip_heuristic_run_feasibility_jump",
+    } <= set(options)
+
+
+@pytest.mark.parametrize("option, value", [("bogus_option", 1), ("mip_pool_soft_limit", "ten")])
+def test_highs_model_raises_on_a_refused_option(option, value):
+    # HiGHS itself only returns kError and solves without the option
+    b = np.ones(2)
+    with pytest.raises(ValidationError, match=option):
+        linear_ot._highs_model(
+            _transport_constraints(1, 1), np.zeros(1), np.ones(1), b, b, **{option: value}
+        )
 
 
 def test_only_linear_ot_talks_to_the_solver_backend():
