@@ -276,7 +276,8 @@ def solve_gw(
     The objective is gw_loss plus the problem's concavity term. The default
     initialization is the product coupling of the marginals. A
     ``TransportLp`` of the problem's marginals passed as ``model`` is reset
-    and re-used for the exact-OT steps; the result is the same without it.
+    and re-used for the exact-OT steps; without it the result has the same
+    support and agrees to rounding (see ``TransportLp``).
     """
     return _fw_solve(problem, np.zeros(problem.shape), 1.0, init, model)
 

@@ -76,8 +76,10 @@ class TransportLp:
     zero-mass atom's row or column sums to zero, so its entries are zero.
 
     A multi-init builds one model for all of its starts. Each Frank-Wolfe
-    solve calls ``reset`` first, so it runs the same LP sequence, bit for
-    bit, as it would on a fresh model.
+    solve calls ``reset`` first, so it starts from the basis a fresh model
+    starts from. HiGHS keeps its other solver data across the reset, so on
+    M-size LPs a plan can differ from a fresh model's in the last bits
+    (by a few 1e-16 per entry) on the same support.
     """
 
     def __init__(self, h: Histogram, g: Histogram):

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +17,7 @@ from gwqap import (
 import gwqap.ga
 from gwqap.cqap import AssignmentMatrix
 from gwqap.errors import ValidationError
-from gwqap.ga import UNASSIGNED_PENALTY, _Draws, _order_crossover, _swap_mutation
+from gwqap.ga import _BLOCK, UNASSIGNED_PENALTY, _Draws, _order_crossover, _swap_mutation
 from tests.test_cqap import make_instance
 
 
@@ -156,6 +159,31 @@ class TestDraws:
                 n = self.BOUNDS[order.integers(len(self.BOUNDS))]
                 got, want = draws.below(n), twin.integers(0, n)
             assert got == want
+        draws.hand_back()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_refills_keep_the_pending_half(self):
+        # each round reads a block up to its last word with unit(), whose
+        # low half below() then takes; the high half is pending when unit()
+        # reads the next block's first word, and the next below() draws it.
+        # Powers of two are never rejected, so the word count is exact.
+        policy = SeedPolicy(12)
+        rng, twin = policy.generator(), policy.generator()
+        draws = _Draws(rng)
+        for read in (0, 1, 1, 1, 1):  # words already read from the block
+            for _ in range(_BLOCK - 1 - read):
+                assert draws.unit() == twin.random()
+            assert draws.below(64) == twin.integers(0, 64)
+            assert twin.bit_generator.state["has_uint32"] == 1
+            assert draws.unit() == twin.random()  # fetches a block
+            assert draws.below(2**32) == twin.integers(0, 2**32)
+            assert draws.below(8) == twin.integers(0, 8)
+            draws.hand_back()  # with a half pending, mid-block
+            assert rng.bit_generator.state == twin.bit_generator.state
+            draws = _Draws(rng)  # starts from the half handed back
+            assert draws.below(2**31) == twin.integers(0, 2**31)
+            assert draws.unit() == twin.random()
+        draws.hand_back()
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_rejects_ranges_numpy_draws_on_64_bits(self):
@@ -164,6 +192,36 @@ class TestDraws:
             draws.below(2**32 + 1)
         with pytest.raises(ValueError):
             draws.below(0)
+
+
+def _bit_generator_uses(tree):
+    """What `_Draws` takes from numpy's bit generator: the attributes it
+    looks up on ``self._bits`` and the state keys it reads or sets."""
+    (reader,) = [top for top in tree.body if getattr(top, "name", None) == "_Draws"]
+    for node in ast.walk(reader):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "_bits":
+            yield node.attr
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "state":
+            yield f"state[{node.slice.value!r}]"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            yield from (f"state[{k.arg!r}]" for k in node.keywords)
+
+
+def test_draws_use_only_what_the_installed_bit_generator_has():
+    # the CI floor job runs the oldest numpy pyproject.toml allows; an
+    # attribute or state key its PCG64 lacks shows here by name
+    bits = SeedPolicy(0).generator().bit_generator
+    state = bits.state
+    assert state["bit_generator"] == "PCG64"
+
+    def present(use):
+        if use.startswith("state["):
+            return ast.literal_eval(use[len("state["):-1]) in state
+        return hasattr(bits, use)
+
+    uses = set(_bit_generator_uses(ast.parse(Path(gwqap.ga.__file__).read_text())))
+    assert [use for use in sorted(uses) if not present(use)] == []
+    assert {"random_raw", "state", "state['has_uint32']", "state['uinteger']"} <= uses
 
 
 class TestSolveGa:
@@ -306,6 +364,9 @@ class TestDecodeCache:
         "always-mutate": ("M1", 6, dict(MUTATION_RATE=1.0)),
         "no-generations": ("S1", 7, dict(population=2, generations=0)),
         "one-task": ((3, 1), 8, {}),  # numpy's integers(0, 1) draws nothing
+        # about 10^5 words, so some 100 blocks of the reader
+        "default-config": ("S2", 9, dict(population=GaConfig.population,
+                                         generations=GaConfig.generations)),
     }
 
     @pytest.mark.parametrize("tid,seed,params", list(BITWISE_CASES.values()), ids=list(BITWISE_CASES))
