@@ -134,7 +134,10 @@ class MethodSpec:
         unknown = sorted(set(self.params) - set(method.defaults))
         if unknown:
             raise ValidationError(f"method {self.name!r} takes no parameter {unknown}")
-        bad = {k: v for k, v in self.params.items() if not isinstance(v, numbers.Real)}
+        bad = {
+            k: v for k, v in self.params.items()
+            if not isinstance(v, numbers.Real) or isinstance(v, bool)
+        }
         if bad:
             raise ValidationError(f"method {self.name!r} parameters must be numbers: {bad}")
         p = self.settings
@@ -447,10 +450,17 @@ def emit_report(reports: list[SolveReport], format: str = "csv") -> bytes:
 
 
 def parse_reports(data: bytes) -> list[SolveReport]:
-    doc = json.loads(data.decode())
-    if doc.get("schema") != REPORT_SCHEMA:
-        raise ValidationError(f"unsupported report schema {doc.get('schema')!r}")
-    return [SolveReport(**r) for r in doc["reports"]]
+    try:
+        doc = json.loads(data.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"report document is not JSON: {exc}") from exc
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != REPORT_SCHEMA:
+        raise ValidationError(f"unsupported report schema {schema!r}")
+    try:
+        return [SolveReport(**r) for r in doc["reports"]]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed report document: {exc!r}") from exc
 
 
 def _emit_markdown(reports: list[SolveReport]) -> str:

@@ -24,6 +24,7 @@ from .errors import (
     NonSquare,
     NotPSD,
     SumNotOne,
+    ValidationError,
 )
 
 HIST_TOL = 1e-12
@@ -31,6 +32,13 @@ MARGINAL_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 PROJECTION_DELTA = 1e-12
 PROJECTION_MAX_SWEEPS = 10_000
+
+
+def check_count(name: str, value, low: int):
+    """Raise ValidationError unless value is an integer >= low; a bool is
+    not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValidationError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
 def _as_float_array(x, ndim, what):

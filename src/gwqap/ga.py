@@ -8,10 +8,10 @@ that fit nowhere stay unassigned and are penalized in the fitness.
 `solve_ga` decodes and scores each distinct priority once per run (and
 decodes the winner once more to return it), so its cost grows with the
 number of distinct chromosomes it meets rather than with population x
-generations. The loop evolves tuples and draws the values `Generator.integers`
-and `Generator.random` would give from PCG64 words fetched in bulk: a 50 x 50
-run on S1/S2 takes about 15 ms, against 20 ms with one ctypes call per draw
-and 100 ms with numpy's calls, bitwise alike.
+generations. Each generation draws all its random numbers in three numpy
+calls, one row per child whether the row is used or not: the tournament
+entrants, the crossover and mutation tests, and the two cut and two swap
+positions. A 50 x 50 run on S1/S2 takes about 6 ms (2 vCPUs, shared).
 
 Only the population and generation count are settings; the rates and the
 tournament size are module constants. Tournaments draw with replacement, so
@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SeedPolicy
+from .core import SeedPolicy, check_count
 from .cqap import AssignmentMatrix, CqapInstance, cqap_objective
-from .errors import ValidationError
 
 UNASSIGNED_PENALTY = 1e6
 CROSSOVER_RATE = 0.9
@@ -41,10 +40,8 @@ class GaConfig:
     seed: SeedPolicy = field(default_factory=lambda: SeedPolicy(0))
 
     def __post_init__(self):
-        for name, low in (("population", 2), ("generations", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ValidationError(f"{name} must be >= {low} and an integer, got {value!r}")
+        check_count("population", self.population, 2)
+        check_count("generations", self.generations, 0)
 
 
 def decode(inst: CqapInstance, priority) -> AssignmentMatrix:
@@ -68,89 +65,17 @@ def decode(inst: CqapInstance, priority) -> AssignmentMatrix:
     return AssignmentMatrix(x.astype(np.int64))
 
 
-_BLOCK = 1024  # words per random_raw call
-_PENDING = 1 << 32  # flag bit of a 32-bit half that is still to be drawn
-
-
-class _Draws:
-    """`rng.integers(0, n)` and `rng.random()`, value for value, read from
-    PCG64 words fetched 1024 at a time with `random_raw`.
-
-    A 32-bit draw takes a word's low half and keeps the high half pending
-    for the next one, as the bit generator's own `has_uint32`/`uinteger`
-    buffer does; the reader starts from that buffer, so it continues a
-    stream `rng.permutation` has drawn from. A double takes a whole word.
-    `below` is numpy's Lemire rejection for ranges up to 2^32
-    (`buffered_bounded_lemire_uint32`). Until `hand_back` the bit generator
-    stands past the words fetched, not the words read, so nothing else may
-    draw from it."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._bits = rng.bit_generator
-        state = self._bits.state
-        # the last 32-bit half, with the _PENDING bit while not yet drawn;
-        # a drawn half stays, as numpy's uinteger does
-        self._half = state["uinteger"] | state["has_uint32"] * _PENDING
-        self._words: list[int] = []  # unread words of the block, next last
-        self._block_start = None  # the bit generator's state before the fetch
-
-    def _word(self) -> int:
-        try:
-            return self._words.pop()
-        except IndexError:
-            self._block_start = self._bits.state
-            self._words = self._bits.random_raw(_BLOCK)[::-1].tolist()
-            return self._words.pop()
-
-    def _uint32(self) -> int:
-        half = self._half
-        if half & _PENDING:
-            self._half = half ^ _PENDING
-            return half ^ _PENDING
-        word = self._word()
-        self._half = word >> 32 | _PENDING
-        return word & 0xFFFFFFFF
-
-    def below(self, n: int) -> int:
-        if not 1 <= n <= 1 << 32:
-            raise ValueError("below(n) needs 1 <= n <= 2^32")
-        if n == 1:
-            return 0  # numpy draws nothing for n == 1
-        m = self._uint32() * n
-        if m & 0xFFFFFFFF < n:  # only then can the low word be biased
-            threshold = (1 << 32) % n
-            while m & 0xFFFFFFFF < threshold:  # Lemire's rejection
-                m = self._uint32() * n
-        return m >> 32
-
-    def unit(self) -> float:
-        return (self._word() >> 11) * 2.0**-53
-
-    def hand_back(self):
-        """Leave the bit generator where these draws stopped: rewind it to
-        the block's start, fetch again only the words read, and give it the
-        32-bit buffer."""
-        if self._words:
-            self._bits.state = self._block_start
-            self._bits.random_raw(_BLOCK - len(self._words))
-            self._words = []
-        self._bits.state = dict(
-            self._bits.state,
-            has_uint32=self._half >> 32,
-            uinteger=self._half & 0xFFFFFFFF,
-        )
-
-
-def _order_crossover(p1: tuple, p2: tuple, draws: _Draws) -> tuple:
-    a, b = sorted((draws.below(len(p1)), draws.below(len(p1))))
+def _order_crossover(p1: tuple, p2: tuple, a: int, b: int) -> tuple:
+    """OX: the child keeps p1 between cut positions a and b (either order,
+    both included) and fills the rest with p2's other tasks in p2's order."""
+    a, b = min(a, b), max(a, b)
     keep = set(p1[a : b + 1])
     fill = [t for t in p2 if t not in keep]
     fill[a:a] = p1[a : b + 1]
     return tuple(fill)
 
 
-def _swap_mutation(p: tuple, draws: _Draws) -> tuple:
-    i, j = draws.below(len(p)), draws.below(len(p))
+def _swap_mutation(p: tuple, i: int, j: int) -> tuple:
     q = list(p)
     q[i], q[j] = q[j], q[i]
     return tuple(q)
@@ -165,19 +90,8 @@ def solve_ga(
     history). Fully deterministic given the config seed.
     """
     rng = config.seed.generator()
-    pop = [tuple(rng.permutation(inst.m).tolist()) for _ in range(config.population)]
-    draws = _Draws(rng)
-    below, unit = draws.below, draws.unit
-
-    def pick():
-        best = below(config.population)
-        best_fit = fits[best]
-        for _ in range(TOURNAMENT_SIZE - 1):
-            c = below(config.population)
-            fit = fits[c]
-            if fit < best_fit or fit == best_fit and c < best:  # ties: lower index
-                best, best_fit = c, fit
-        return pop[best]
+    P, m = config.population, inst.m
+    pop = [tuple(rng.permutation(m).tolist()) for _ in range(P)]
 
     # priority -> fitness, for this run only. Assignments are not kept: at
     # n x m integers per distinct priority they would outgrow the population
@@ -194,16 +108,24 @@ def solve_ga(
     history = []
     for generation in range(config.generations + 1):
         if generation:
-            children = [pop[fits.index(min(fits))]]
-            while len(children) < config.population:
-                p1, p2 = pick(), pick()
-                child = _order_crossover(p1, p2, draws) if unit() < CROSSOVER_RATE else p1
-                if unit() < MUTATION_RATE:
-                    child = _swap_mutation(child, draws)
-                children.append(child)
+            # every child's numbers, drawn whether they are used or not
+            entrants = rng.integers(0, P, size=(P - 1, 2, TOURNAMENT_SIZE))
+            tests = rng.random((P - 1, 2)) < (CROSSOVER_RATE, MUTATION_RATE)
+            cuts = rng.integers(0, m, size=(P - 1, 4))
+            # rank by (fitness, index): a tournament goes to its fittest
+            # entrant, ties to the lower index
+            order = np.argsort(fits, kind="stable")
+            rank = np.argsort(order)
+            parents = order[rank[entrants].min(axis=2)]
+            children = [pop[order[0]]]  # elitism
+            for (i1, i2), (cross, mutate), (a, b, i, j) in zip(
+                parents.tolist(), tests.tolist(), cuts.tolist()
+            ):
+                child = _order_crossover(pop[i1], pop[i2], a, b) if cross else pop[i1]
+                children.append(_swap_mutation(child, i, j) if mutate else child)
             pop = children
-        fits = [fitness(p) for p in pop]
-        history.append(float(min(fits)))  # elitism keeps this non-increasing
+        fits = np.array([fitness(p) for p in pop])
+        history.append(float(fits.min()))  # elitism keeps this non-increasing
 
-    best_x = decode(inst, pop[fits.index(min(fits))])
+    best_x = decode(inst, pop[int(np.argmin(fits))])
     return best_x, cqap_objective(inst, best_x), np.array(history)

@@ -51,6 +51,7 @@ from .core import (
     MmSpace,
     SeedPolicy,
     _as_float_array,
+    check_count,
     marginal_violation,
     product_coupling,
 )
@@ -133,8 +134,7 @@ class MultiInitConfig:
     seed: SeedPolicy = field(default_factory=lambda: SeedPolicy(0))
 
     def __post_init__(self):
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 0:
-            raise ValidationError(f"trials must be >= 0 and an integer, got {self.trials!r}")
+        check_count("trials", self.trials, 0)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ from scipy.optimize import linear_sum_assignment
 # the HiGHS bindings scipy ships (a private module, with _core from scipy 1.15)
 from scipy.optimize._highspy import _core as _highs
 
-from .core import MARGINAL_TOL, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS, Coupling, Histogram
+from .core import (
+    MARGINAL_TOL, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS, Coupling, Histogram, check_count
+)
 from .errors import (
     DimensionMismatch, NoConvergence, NonSquare, NumericalUnderflow, ValidationError
 )
@@ -228,6 +230,7 @@ def sinkhorn(
         raise DimensionMismatch(f"cost is {c.shape}, marginals need ({n}, {m})")
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
+    check_count("max_iter", max_iter, 1)
 
     if np.abs(c).max(initial=0.0) / epsilon > _LOG_DOMAIN_RATIO:
         plan, iters, converged = _on_support(
@@ -338,6 +341,8 @@ def w2_gaussian(a, b) -> float:
     ||m_a - m_b||^2 plus the squared Bures distance between the covariances,
     computed via symmetric eigendecompositions with eigenvalue clamping.
     """
+    if a.mean.shape != b.mean.shape:
+        raise DimensionMismatch(f"measures are {a.mean.shape[0]}-d and {b.mean.shape[0]}-d")
     mean_term = float(np.sum((a.mean - b.mean) ** 2))
     ra = _sqrtm_psd(a.covariance)
     cross = _sqrtm_psd(ra @ b.covariance @ ra)

@@ -317,6 +317,12 @@ class TestMethodSpec:
             ("egw", {"epsilon": 0.0}),
             ("egw", {"epsilon": "0.5"}),
             ("fgw", {"alpha": "0.5"}),
+            # a bool is not a count or a number here
+            ("gw-multi", {"trials": True}),
+            ("ga", {"generations": True}),
+            ("ga", {"population": True}),
+            ("egw", {"epsilon": True}),
+            ("fgw", {"alpha": False}),
         ):
             with pytest.raises(ValidationError):
                 MethodSpec(name, params)
@@ -461,6 +467,17 @@ class TestEmitReport:
         r = self._report()
         back = parse_reports(emit_report([r], "json"))
         assert back == [r]
+
+    @pytest.mark.parametrize("data", [
+        b"not json", b"\xff", b"[1, 2]", b'{"schema": "cqap-report/1"}',
+        b'{"schema": "cqap-report/1", "reports": 3}',
+        b'{"schema": "cqap-report/1", "reports": [[1]]}',
+        b'{"schema": "cqap-report/1", "reports": [{"colour": "red"}]}',
+    ], ids=["not-json", "not-utf8", "list", "no-reports", "reports-not-list",
+            "row-not-object", "unknown-field"])
+    def test_parse_reports_rejects_malformed_documents(self, data):
+        with pytest.raises(ValidationError):
+            parse_reports(data)
 
     def test_markdown_bolds_best(self):
         a = self._report()

@@ -1,5 +1,4 @@
-import ast
-from pathlib import Path
+import itertools
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from gwqap import (
 import gwqap.ga
 from gwqap.cqap import AssignmentMatrix
 from gwqap.errors import ValidationError
-from gwqap.ga import _BLOCK, UNASSIGNED_PENALTY, _Draws, _order_crossover, _swap_mutation
+from gwqap.ga import UNASSIGNED_PENALTY, _order_crossover, _swap_mutation
 from tests.test_cqap import make_instance
 
 
@@ -125,103 +124,29 @@ class TestDecode:
 
 class TestOperators:
     def test_permutation_invariant_preserved(self):
-        # 10^4 random crossover+mutation applications keep bijections
-        rng = np.random.default_rng(0)
-        draws = _Draws(rng)
-        for m in (1, 2, 7):
+        # every cut and swap position for m <= 6, on every parent pair up to
+        # m = 4 and on 20 x 20 of them after that
+        for m in range(1, 7):
             target = tuple(range(m))
-            for _ in range(10_000):
-                p1 = tuple(rng.permutation(m).tolist())
-                p2 = tuple(rng.permutation(m).tolist())
-                child = _order_crossover(p1, p2, draws)
-                child = _swap_mutation(child, draws)
-                assert type(child) is tuple
-                assert tuple(sorted(child)) == target
-
-
-class TestDraws:
-    BOUNDS = (1, 2, 3, 50, 2**31 + 1, 2**32)
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_same_stream_as_generator(self, seed):
-        # interleaved below/unit give the values integers/random give on a
-        # twin generator; at 2^31 + 1 about half of all draws are rejected
-        policy = SeedPolicy(seed)
-        rng, twin = policy.generator(), policy.generator()
-        if seed % 2:  # may leave a buffered 32-bit half in the bit generator
-            assert np.array_equal(rng.permutation(seed + 4), twin.permutation(seed + 4))
-        draws = _Draws(rng)
-        order = np.random.default_rng(100 + seed)
-        for _ in range(3000):
-            if order.random() < 0.25:
-                got, want = draws.unit(), twin.random()
-            else:
-                n = self.BOUNDS[order.integers(len(self.BOUNDS))]
-                got, want = draws.below(n), twin.integers(0, n)
-            assert got == want
-        draws.hand_back()
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-    def test_refills_keep_the_pending_half(self):
-        # each round reads a block up to its last word with unit(), whose
-        # low half below() then takes; the high half is pending when unit()
-        # reads the next block's first word, and the next below() draws it.
-        # Powers of two are never rejected, so the word count is exact.
-        policy = SeedPolicy(12)
-        rng, twin = policy.generator(), policy.generator()
-        draws = _Draws(rng)
-        for read in (0, 1, 1, 1, 1):  # words already read from the block
-            for _ in range(_BLOCK - 1 - read):
-                assert draws.unit() == twin.random()
-            assert draws.below(64) == twin.integers(0, 64)
-            assert twin.bit_generator.state["has_uint32"] == 1
-            assert draws.unit() == twin.random()  # fetches a block
-            assert draws.below(2**32) == twin.integers(0, 2**32)
-            assert draws.below(8) == twin.integers(0, 8)
-            draws.hand_back()  # with a half pending, mid-block
-            assert rng.bit_generator.state == twin.bit_generator.state
-            draws = _Draws(rng)  # starts from the half handed back
-            assert draws.below(2**31) == twin.integers(0, 2**31)
-            assert draws.unit() == twin.random()
-        draws.hand_back()
-        assert rng.bit_generator.state == twin.bit_generator.state
-
-    def test_rejects_ranges_numpy_draws_on_64_bits(self):
-        draws = _Draws(SeedPolicy(0).generator())
-        with pytest.raises(ValueError):
-            draws.below(2**32 + 1)
-        with pytest.raises(ValueError):
-            draws.below(0)
-
-
-def _bit_generator_uses(tree):
-    """What `_Draws` takes from numpy's bit generator: the attributes it
-    looks up on ``self._bits`` and the state keys it reads or sets."""
-    (reader,) = [top for top in tree.body if getattr(top, "name", None) == "_Draws"]
-    for node in ast.walk(reader):
-        if isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "_bits":
-            yield node.attr
-        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "state":
-            yield f"state[{node.slice.value!r}]"
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
-            yield from (f"state[{k.arg!r}]" for k in node.keywords)
-
-
-def test_draws_use_only_what_the_installed_bit_generator_has():
-    # the CI floor job runs the oldest numpy pyproject.toml allows; an
-    # attribute or state key its PCG64 lacks shows here by name
-    bits = SeedPolicy(0).generator().bit_generator
-    state = bits.state
-    assert state["bit_generator"] == "PCG64"
-
-    def present(use):
-        if use.startswith("state["):
-            return ast.literal_eval(use[len("state["):-1]) in state
-        return hasattr(bits, use)
-
-    uses = set(_bit_generator_uses(ast.parse(Path(gwqap.ga.__file__).read_text())))
-    assert [use for use in sorted(uses) if not present(use)] == []
-    assert {"random_raw", "state", "state['has_uint32']", "state['uinteger']"} <= uses
+            perms = list(itertools.permutations(target))
+            parents = perms[:: max(1, len(perms) // 20)]
+            positions = list(itertools.product(range(m), repeat=2))
+            for p1, p2 in itertools.product(parents, repeat=2):
+                for a, b in positions:
+                    child = _order_crossover(p1, p2, a, b)
+                    assert type(child) is tuple
+                    assert tuple(sorted(child)) == target
+                    lo, hi = min(a, b), max(a, b)
+                    assert child[lo : hi + 1] == p1[lo : hi + 1]
+                    rest = [t for t in p2 if t not in p1[lo : hi + 1]]
+                    assert list(child[:lo] + child[hi + 1 :]) == rest
+            for p in perms:
+                for i, j in positions:
+                    child = _swap_mutation(p, i, j)
+                    assert type(child) is tuple
+                    assert tuple(sorted(child)) == target
+                    assert (child[i], child[j]) == (p[j], p[i])
+                    assert all(child[k] == p[k] for k in range(m) if k not in (i, j))
 
 
 class TestSolveGa:
@@ -261,9 +186,12 @@ class TestSolveGa:
         assert all(b <= a for a, b in zip(history, history[1:]))
 
     def test_config_validation(self):
-        for population in (1, 2.5):
+        for population in (1, 2.5, True):
             with pytest.raises(ValidationError):
                 GaConfig(population=population)
+        for generations in (True, False):  # a bool is not a count
+            with pytest.raises(ValidationError, match="generations"):
+                GaConfig(generations=generations)
         # tournaments draw with replacement, so 2 < TOURNAMENT_SIZE is fine
         assert GaConfig(population=2).population == 2
 
@@ -275,14 +203,15 @@ class TestSolveGa:
 
 
 def _uncached_ga(inst, config):
-    """The generation loop without a decode cache, as solve_ga ran before it
-    had one, with the set-based OX crossover; also returns the set of
-    distinct priorities it decoded. It reads the module's rates and
-    tournament size when called, so a patched constant reaches both."""
+    """The generation loop without a decode cache, on numpy-array
+    populations, with the set-based OX crossover and one tournament at a
+    time; also returns the set of distinct priorities it decoded. It reads
+    the module's rates and tournament size when called, so a patched
+    constant reaches both."""
     ga = gwqap.ga
 
-    def order_crossover(p1, p2, rng):
-        a, b = sorted(rng.integers(0, p1.shape[0], size=2))
+    def order_crossover(p1, p2, a, b):
+        a, b = sorted((a, b))
         kept = set(p1[a : b + 1].tolist())
         fill = np.array([t for t in p2.tolist() if t not in kept], dtype=np.int64)
         return np.concatenate((fill[:a], p1[a : b + 1], fill[a:]))
@@ -291,25 +220,22 @@ def _uncached_ga(inst, config):
         unassigned = int((x.x.sum(axis=0) == 0).sum())
         return cqap_objective(inst, x) + UNASSIGNED_PENALTY * unassigned
 
+    P = config.population
     rng = config.seed.generator()
-    pop = [rng.permutation(inst.m) for _ in range(config.population)]
-
-    def pick():
-        contenders = rng.integers(0, config.population, size=ga.TOURNAMENT_SIZE)
-        return pop[min(contenders, key=lambda c: (fits[c], c))]
+    pop = [rng.permutation(inst.m) for _ in range(P)]
 
     history, distinct = [], set()
     for generation in range(config.generations + 1):
         if generation:
+            entrants = rng.integers(0, P, size=(P - 1, 2, ga.TOURNAMENT_SIZE))
+            rates = rng.random((P - 1, 2))
+            cuts = rng.integers(0, inst.m, size=(P - 1, 4))
             children = [pop[int(np.argmin(fits))]]
-            while len(children) < config.population:
-                p1, p2 = pick(), pick()
-                if rng.random() < ga.CROSSOVER_RATE:
-                    child = order_crossover(p1, p2, rng)
-                else:
-                    child = p1
-                if rng.random() < ga.MUTATION_RATE:
-                    i, j = rng.integers(0, child.shape[0], size=2)
+            for k in range(P - 1):
+                p1, p2 = (pop[min(row, key=lambda c: (fits[c], c))] for row in entrants[k])
+                a, b, i, j = cuts[k]
+                child = order_crossover(p1, p2, a, b) if rates[k, 0] < ga.CROSSOVER_RATE else p1
+                if rates[k, 1] < ga.MUTATION_RATE:
                     child = child.copy()
                     child[i], child[j] = child[j], child[i]
                 children.append(child)
@@ -363,8 +289,7 @@ class TestDecodeCache:
         "always-crossover": ("S3", 5, dict(CROSSOVER_RATE=1.0)),
         "always-mutate": ("M1", 6, dict(MUTATION_RATE=1.0)),
         "no-generations": ("S1", 7, dict(population=2, generations=0)),
-        "one-task": ((3, 1), 8, {}),  # numpy's integers(0, 1) draws nothing
-        # about 10^5 words, so some 100 blocks of the reader
+        "one-task": ((3, 1), 8, {}),
         "default-config": ("S2", 9, dict(population=GaConfig.population,
                                          generations=GaConfig.generations)),
     }
@@ -391,20 +316,20 @@ class TestDecodeCache:
 
 class TestRegressionPin:
     # (spec, seed stream, config, assignment, objective, history) as the
-    # full-interaction decode produced them; instance and GA seeds follow
-    # perfbench's suite-S slots (seed 7, GA stream offset 6000)
+    # per-generation draws produced them; instance and GA seeds follow
+    # perfbench's suite-S slots (seed 7, GA stream offset 6000). The GA uses
+    # only public Generator calls, and the CI floor job (numpy 1.24) runs
+    # these pins against them. numpy does not promise Generator streams
+    # across releases, so a pin that fails only on the floor job is a stream
+    # change to record here, not a test to loosen.
     CASES = [
         ("S1", 23000, dict(population=4, generations=6, TOURNAMENT_SIZE=2),
-         [[1, 1, 0], [0, 0, 0], [0, 0, 1]], 24.057842151394574,
-         [28.867106698747527, 28.26576090333444, 28.26576090333444,
-          28.26576090333444, 28.26576090333444, 28.26576090333444,
-          24.057842151394574]),
+         [[0, 1, 1], [0, 0, 0], [1, 0, 0]], 28.867106698747527,
+         [28.867106698747527] * 7),
         ("S2", 10000, dict(population=4, generations=6, TOURNAMENT_SIZE=2),
          [[0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 0]],
          85.89913478766081,
-         [110.60540878550819, 110.60540878550819, 110.60540878550819,
-          110.60540878550819, 99.23077029837113, 99.23077029837113,
-          85.89913478766081]),
+         [110.60540878550819] * 4 + [85.89913478766081] * 3),
         ("S2", 2000, dict(population=20, generations=8),
          [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]],
          228.0775787814715, [228.0775787814715] * 9),

@@ -379,6 +379,12 @@ class TestMultiInit:
         assert np.array_equal(multi.coupling.plan, default.coupling.plan)
         assert multi.trial_of_origin == -1
 
+    def test_trials_must_be_a_count(self):
+        for trials in (-1, 1.0, True, False):
+            with pytest.raises(ValidationError, match="trials"):
+                MultiInitConfig(trials=trials)
+        assert MultiInitConfig(trials=np.int64(3)).trials == 3
+
     def test_identical_spaces(self):
         rng = np.random.default_rng(71)
         uniform = normalize_masses(np.ones(6))

@@ -368,6 +368,17 @@ class TestSinkhorn:
             with pytest.raises(NumericalUnderflow):
                 sinkhorn(c, UNIF2, UNIF2, epsilon=1.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 5.0], ids=["kernel", "log-domain"])
+    def test_max_iter_must_be_a_positive_integer(self, scale):
+        # at scale 5, max|C|/eps = 2000 takes the log-domain branch
+        c = np.array([[4.0, 1.0], [2.0, 3.0]]) * scale
+        for max_iter in (0, -1, 2.0, True):
+            with pytest.raises(ValidationError, match="max_iter"):
+                sinkhorn(c, UNIF2, UNIF2, epsilon=0.01, max_iter=max_iter)
+        coupling, _, iters, _ = sinkhorn(c, UNIF2, UNIF2, epsilon=0.01, max_iter=1)
+        assert iters == 1
+        assert np.allclose(coupling.plan.sum(axis=0), 0.5)
+
     def test_epsilon_consistency_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(3):
@@ -507,6 +518,13 @@ class TestW2Gaussian:
         m2 = rng.random((3, 3))
         b = GaussianMeasure(rng.random(3), m2 @ m2.T)
         assert w2_gaussian(a, b) == pytest.approx(w2_gaussian(b, a), abs=1e-10)
+
+    def test_dimension_mismatch(self):
+        a = GaussianMeasure([0.0, 0.0], np.eye(2))
+        b = GaussianMeasure([0.0, 0.0, 0.0], np.eye(3))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DimensionMismatch):
+                w2_gaussian(x, y)
 
     def test_not_psd(self):
         with pytest.raises(NotPSD):
