@@ -185,6 +185,23 @@ class SolveReport:
 
 CSV_COLUMNS = [f.name for f in fields(SolveReport)]
 
+# the JSON value types each report field accepts, matched exactly, so a
+# bool is not an int
+_OPTIONAL_NUMBER = (int, float, type(None))
+_REPORT_VALUE_TYPES = {
+    "instance_id": (str,),
+    "method": (str,),
+    "params": (dict,),
+    "objective_relaxed": _OPTIONAL_NUMBER,
+    "objective_binary": _OPTIONAL_NUMBER,
+    "feasible": (bool, type(None)),
+    "gap_pct": _OPTIONAL_NUMBER,
+    "runtime_s": (int, float),
+    "iterations": (int,),
+    "seed": (int,),
+    "status": (str,),
+}
+
 
 def _distances(a, b):
     """Euclidean distances between the rows of a and the rows of b."""
@@ -458,9 +475,15 @@ def parse_reports(data: bytes) -> list[SolveReport]:
     if schema != REPORT_SCHEMA:
         raise ValidationError(f"unsupported report schema {schema!r}")
     try:
-        return [SolveReport(**r) for r in doc["reports"]]
+        reports = [SolveReport(**r) for r in doc["reports"]]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed report document: {exc!r}") from exc
+    for report in reports:
+        for name, types in _REPORT_VALUE_TYPES.items():
+            value = getattr(report, name)
+            if type(value) not in types:
+                raise ValidationError(f"report field {name} has the wrong type: {value!r}")
+    return reports
 
 
 def _emit_markdown(reports: list[SolveReport]) -> str:

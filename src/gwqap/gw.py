@@ -291,26 +291,36 @@ def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSoluti
     """Multi-start GW: default init plus T projected random couplings.
 
     Random trial t draws Uniform(0,1) + INIT_JITTER from its own derived
-    RNG stream, projects onto the coupling polytope by alternating
-    rescaling (to PROJECTION_DELTA), solves, and the lowest-objective
-    solution wins; only an exactly equal objective goes to the earlier trial
-    (default init first). Starts that reach the same coupling can differ in
-    the last bits of their objective, and then the lower value wins, not the
-    earlier start. A trial that raises a library error is skipped and listed
-    in ``failed_trials``; any other exception propagates. All starts share
-    one transport model.
+    RNG stream. All T draws are projected onto the coupling polytope by one
+    stacked ``sinkhorn_project`` call (alternating rescaling to
+    PROJECTION_DELTA, each start stopping at its own sweep, so each start is
+    bitwise what projecting it alone gives). Each start is then solved in
+    turn, and the lowest-objective solution wins; only an exactly equal
+    objective goes to the earlier trial (default init first). Starts that
+    reach the same coupling can differ in the last bits of their objective,
+    and then the lower value wins, not the earlier start. If the stacked
+    projection raises a library error, each start is projected alone. A
+    trial whose projection or solve raises a library error is skipped and
+    listed in ``failed_trials``; any other exception propagates. All starts
+    share one transport model.
     """
     n, m = problem.shape
     h, g = problem.source.mass, problem.target.mass
+    trials = range(1, config.trials + 1)
+    raw = np.empty((config.trials, n, m))
+    for t in trials:
+        raw[t - 1] = config.seed.substream(t).generator().uniform(0.0, 1.0, size=(n, m))
+    raw += INIT_JITTER
+    inits = _project_starts(raw, h, g)
 
     model = TransportLp(h, g)
     best = solve_gw(problem, None, model=model)
     failed = []
-    for t in range(1, config.trials + 1):
-        rng = config.seed.substream(t).generator()
-        raw = rng.uniform(0.0, 1.0, size=(n, m)) + INIT_JITTER
+    for t, init in zip(trials, inits):
+        if isinstance(init, GwqapError):
+            failed.append((t, type(init).__name__))
+            continue
         try:
-            init = sinkhorn_project(raw, h, g)
             sol = solve_gw(problem, init, model=model)
         except GwqapError as exc:
             failed.append((t, type(exc).__name__))
@@ -318,6 +328,23 @@ def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSoluti
         if sol.objective < best.objective:
             best = replace(sol, trial_of_origin=t)
     return replace(best, failed_trials=tuple(failed))
+
+
+def _project_starts(raw, h, g) -> list:
+    """The coupling of each slice of the stack ``raw``, or the library error
+    its projection raised; one stacked ``sinkhorn_project`` call unless it
+    fails, then one call per slice, so each failing start has its own."""
+    try:
+        return sinkhorn_project(raw, h, g)
+    except GwqapError:
+        pass
+    inits = []
+    for start in raw:
+        try:
+            inits.append(sinkhorn_project(start, h, g))
+        except GwqapError as exc:
+            inits.append(exc)
+    return inits
 
 
 def solve_entropic_gw(problem: GwProblem, epsilon: float) -> GwSolution:

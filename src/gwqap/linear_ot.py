@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,9 +237,11 @@ def sinkhorn(
         )
     else:
         # every kernel entry is at least exp(-_LOG_DOMAIN_RATIO) > 0
-        plan, iters, converged = _on_support(
-            _scale, np.exp(-c / epsilon), h.weights, g.weights, MARGINAL_TOL, max_iter
+        plans, sweeps, converged = _on_support(
+            _scale, np.exp(-c / epsilon)[None], h.weights, g.weights,
+            MARGINAL_TOL, max_iter,
         )
+        plan, iters, converged = plans[0], int(sweeps[0]), bool(converged[0])
     objective = float((c * plan).sum())
     return Coupling(plan, h, g), objective, iters, converged
 
@@ -248,35 +249,59 @@ def sinkhorn(
 def _on_support(solve, a, h, g, *args):
     """``solve(a, h, g, *args) -> (plan, iterations, converged)`` run on a
     copy of the block of positive-mass atoms, its plan scattered back into
-    zeros: a zero-mass atom's row or column is all zeros."""
-    rows, cols = h > 0, g > 0
-    block = np.ix_(rows, cols)
-    plan, iterations, converged = solve(a[block], h[rows], g[cols], *args)
+    zeros: a zero-mass atom's row or column is all zeros. ``a`` is one
+    (n, m) matrix or a stack (T, n, m), whose slices share the block."""
+    rows, cols = np.ix_(h > 0, g > 0)
+    # indexing a stack so puts its first axis last in memory; the sums of
+    # a C-ordered block run in the order a single (n, m) matrix's do
+    block = np.ascontiguousarray(a[..., rows, cols])
+    plan, iterations, converged = solve(block, h[h > 0], g[g > 0], *args)
     full = np.zeros(a.shape)
-    full[block] = plan
+    full[..., rows, cols] = plan
     return full, iterations, converged
 
 
 def _scale(G, h, g, tol, max_sweeps):
-    """Alternately rescale the rows, then the columns, of the positive matrix
-    G in place until both marginal inf-errors drop below tol.
+    """Alternately rescale the rows, then the columns, of each slice of the
+    positive stack G (T, n, m) until both of its marginal inf-errors drop
+    below tol.
 
-    Returns (G, sweeps, converged). Raises NumericalUnderflow on the first
-    sweep that leaves a non-finite entry, which a row sum then shows.
+    Each slice stops at its own sweep: once it converges it leaves the
+    active set and is never rescaled again, so its plan is bitwise the plan
+    of scaling that slice alone. Returns (G, sweeps, converged), the last
+    two arrays of length T; G is rescaled in place. Raises NumericalUnderflow
+    on the first sweep that leaves a non-finite entry in an active slice,
+    which its row sums then show.
     """
+    sweeps = np.full(G.shape[0], max_sweeps)
+    converged = np.zeros(G.shape[0], dtype=bool)
+    active = np.arange(G.shape[0])
+    # the active slices; a copy once a slice has left
+    A = G
     # the row sums of one sweep's stopping test scale the next sweep's rows
-    rows = G.sum(axis=1)
+    rows = A.sum(axis=2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for sweep in range(1, max_sweeps + 1):
-            G *= (h / rows)[:, None]
-            G *= (g / G.sum(axis=0))[None, :]
-            rows = G.sum(axis=1)
-            row_err = np.abs(rows - h).max()
-            if row_err < tol and np.abs(G.sum(axis=0) - g).max() < tol:
-                return G, sweep, True
-            if not math.isfinite(row_err):
+            if not active.size:
+                break
+            A *= (h / rows)[:, :, None]
+            A *= (g / A.sum(axis=1))[:, None, :]
+            rows = A.sum(axis=2)
+            row_err = np.abs(rows - h).max(axis=1)
+            if not np.isfinite(row_err).all():
                 raise NumericalUnderflow("alternating scaling diverged")
-    return G, max_sweeps, False
+            done = row_err < tol
+            if not done.any():
+                continue
+            done[done] = np.abs(A[done].sum(axis=1) - g).max(axis=1) < tol
+            if done.any():
+                left = active[done]
+                sweeps[left], converged[left] = sweep, True
+                G[left] = A[done]
+                keep = ~done
+                A, rows, active = A[keep], rows[keep], active[keep]
+    G[active] = A
+    return G, sweeps, converged
 
 
 def _sinkhorn_log(c, h, g, epsilon, max_iter):
@@ -304,7 +329,7 @@ def _logsumexp_rows(M):
     return (mx + np.log(np.exp(M - mx).sum(axis=1, keepdims=True)))[:, 0]
 
 
-def sinkhorn_project(raw, h: Histogram, g: Histogram) -> Coupling:
+def sinkhorn_project(raw, h: Histogram, g: Histogram) -> Coupling | list[Coupling]:
     """Project a strictly positive matrix onto the coupling polytope.
 
     Alternates row then column rescaling until both marginal inf-errors drop
@@ -312,21 +337,33 @@ def sinkhorn_project(raw, h: Histogram, g: Histogram) -> Coupling:
     PROJECTION_MAX_SWEEPS sweeps. Zero-mass atoms get all-zero rows and
     columns. Used to turn Uniform(0,1)+jitter samples into valid random
     initial couplings.
+
+    ``raw`` may also be a stack (T, n, m); its slices are scaled together
+    and the list of their T couplings returned. Each slice stops at its own
+    sweep, so its coupling is bitwise the one a call on that slice alone
+    returns. The call raises if any slice does not converge.
     """
     G = np.asarray(raw, dtype=np.float64)
-    if G.shape != (h.n, g.n):
-        raise DimensionMismatch(f"raw is {G.shape}, marginals need ({h.n}, {g.n})")
+    if G.ndim not in (2, 3) or G.shape[-2:] != (h.n, g.n):
+        raise DimensionMismatch(
+            f"raw is {G.shape}, marginals need ({h.n}, {g.n}) or (T, {h.n}, {g.n})"
+        )
     if not (G > 0).all():
         raise ValidationError("all entries of raw must be strictly positive")
-    plan, _, converged = _on_support(
-        _scale, G, h.weights, g.weights, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS
+    plans, _, converged = _on_support(
+        _scale, G.reshape((-1, h.n, g.n)), h.weights, g.weights,
+        PROJECTION_DELTA, PROJECTION_MAX_SWEEPS,
     )
-    if not converged:
+    if not converged.all():
+        stuck = np.flatnonzero(~converged).tolist()
+        where = f" (slices {stuck})" if G.ndim == 3 else ""
         raise NoConvergence(
             f"projection did not reach delta={PROJECTION_DELTA} "
-            f"in {PROJECTION_MAX_SWEEPS} sweeps"
+            f"in {PROJECTION_MAX_SWEEPS} sweeps{where}"
         )
-    return Coupling(plan, h, g)
+    if G.ndim == 2:
+        return Coupling(plans[0], h, g)
+    return [Coupling(plan, h, g) for plan in plans]
 
 
 def _sqrtm_psd(a):

@@ -254,11 +254,11 @@ def test_criterion_7_scalability_trend():
     for problem in (prob30, prob30, prob30, prob100):
         timed(problem)
     # medians of 7 rounds taken in alternation, each timing L5 once and L1
-    # three times: a slow ~14-20 ms L1 run (the denominator) or a slow
-    # stretch of a shared machine must not decide the ratio
+    # five times (35 L1 runs): a slow ~10-20 ms L1 run (the denominator) or
+    # a slow stretch of a shared machine must not decide the ratio
     runs30, runs100 = [], []
     for _ in range(7):
-        runs30 += [timed(prob30) for _ in range(3)]
+        runs30 += [timed(prob30) for _ in range(5)]
         runs100.append(timed(prob100))
     t_gw_30, t_gw_100 = statistics.median(runs30), statistics.median(runs100)
     t0 = time.perf_counter()

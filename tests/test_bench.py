@@ -479,6 +479,36 @@ class TestEmitReport:
         with pytest.raises(ValidationError):
             parse_reports(data)
 
+    @pytest.mark.parametrize("field, value", [
+        ("instance_id", 5), ("objective_relaxed", "a"), ("feasible", "yes"),
+        ("runtime_s", "slow"), ("iterations", 1.5), ("seed", "s"),
+        ("iterations", True), ("objective_binary", False), ("params", []),
+    ])
+    def test_parse_reports_rejects_mistyped_values(self, field, value):
+        row = json.loads(emit_report([self._report()], "json"))
+        row["reports"][0][field] = value
+        with pytest.raises(ValidationError, match=field):
+            parse_reports(json.dumps(row).encode())
+
+    def test_parse_reports_rejects_the_mistyped_row(self):
+        # every field mistyped at once, as a hand-edited report file might be
+        doc = json.loads(emit_report([self._report()], "json"))
+        doc["reports"][0].update(
+            instance_id=5, objective_relaxed="a", feasible="yes",
+            runtime_s="slow", iterations=1.5, seed="s",
+        )
+        with pytest.raises(ValidationError):
+            parse_reports(json.dumps(doc).encode())
+
+    def test_parse_reports_accepts_integral_and_missing_numbers(self):
+        doc = json.loads(emit_report([self._report()], "json"))
+        doc["reports"][0].update(
+            objective_relaxed=12, objective_binary=None, feasible=None,
+            gap_pct=None, runtime_s=0,
+        )
+        (report,) = parse_reports(json.dumps(doc).encode())
+        assert report.objective_relaxed == 12 and report.feasible is None
+
     def test_markdown_bolds_best(self):
         a = self._report()
         b = self._report()

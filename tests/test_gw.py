@@ -473,18 +473,31 @@ class TestMultiInit:
     def test_failed_trial_is_recorded(self, monkeypatch):
         rng = np.random.default_rng(85)
         prob = GwProblem(random_space(rng, 5), random_space(rng, 4))
-        project, calls = gw.sinkhorn_project, []
+        config = MultiInitConfig(trials=4, seed=SeedPolicy(2))
+        stalled = config.seed.substream(2).generator().uniform(0, 1, size=prob.shape)
+        stalled += gw.INIT_JITTER
+        project, solve, calls, solved = gw.sinkhorn_project, gw.solve_gw, [], []
 
-        def flaky(raw, h, g, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
+        def flaky(raw, h, g):
+            # any projection that holds trial 2's start stalls: the stacked
+            # call, then trial 2's own call in the per-start fallback
+            calls.append(np.ndim(raw))
+            starts = np.reshape(raw, (-1, *stalled.shape))
+            if any(np.array_equal(start, stalled) for start in starts):
                 raise NoConvergence("projection stalled")
-            return project(raw, h, g, **kwargs)
+            return project(raw, h, g)
+
+        def recorded(problem, init=None, **kwargs):
+            solved.append(init)
+            return solve(problem, init, **kwargs)
 
         monkeypatch.setattr(gw, "sinkhorn_project", flaky)
-        sol = solve_gw_multi_init(prob, MultiInitConfig(trials=4, seed=SeedPolicy(2)))
+        monkeypatch.setattr(gw, "solve_gw", recorded)
+        sol = solve_gw_multi_init(prob, config)
         assert sol.failed_trials == ((2, "NoConvergence"),)
-        assert len(calls) == 4
+        assert calls == [3, 2, 2, 2, 2]
+        # the default start and trials 1, 3 and 4 are solved
+        assert len(solved) == 4 and solved[0] is None
         assert sol.trial_of_origin != 2
 
     def test_non_library_error_in_a_trial_propagates(self, monkeypatch):

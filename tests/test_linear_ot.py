@@ -412,6 +412,15 @@ class TestSinkhornProject:
         row, col = marginal_violation(coupling)
         assert max(row, col) <= PROJECTION_DELTA
 
+    def test_empty_stack(self):
+        assert sinkhorn_project(np.ones((0, 2, 2)), UNIF2, UNIF2) == []
+
+    def test_stack_of_wrong_shape(self):
+        with pytest.raises(DimensionMismatch):
+            sinkhorn_project(np.ones((3, 2, 3)), UNIF2, UNIF2)
+        with pytest.raises(DimensionMismatch):
+            sinkhorn_project(np.ones((1, 3, 2, 2)), UNIF2, UNIF2)
+
     def test_sweep_cap(self, monkeypatch):
         rng = np.random.default_rng(0)
         raw = rng.uniform(0, 1, size=(4, 4)) + 1e-6
@@ -492,6 +501,67 @@ def test_zero_mass_atoms_keep_the_marginal_contract(n, m, seed, zero_in):
         assert max(marginal_violation(coupling)) < tol
         assert np.all(coupling.plan[h.weights == 0] == 0.0)
         assert np.all(coupling.plan[:, g.weights == 0] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trials=st.integers(1, 25),
+    n=st.integers(1, 12),
+    m=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.booleans(),
+)
+def test_stacked_projection_is_bitwise_each_slice_alone(trials, n, m, seed, zeros):
+    rng = np.random.default_rng(seed)
+
+    def masses(k):
+        w = rng.random(k) + 0.2
+        if zeros:
+            w[rng.random(k) < 0.4] = 0.0
+            w[rng.integers(k)] = 1.0
+        return normalize_masses(w)
+
+    h, g = masses(n), masses(m)
+    # log-normal entries: a slice of spread 0 stops after one sweep, one of
+    # spread 4 after up to a few hundred
+    spread = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0], size=trials)
+    raw = np.exp(spread[:, None, None] * rng.standard_normal((trials, n, m)))
+    before = raw.copy()
+    stacked = sinkhorn_project(raw, h, g)
+    assert np.array_equal(raw, before)
+    assert len(stacked) == trials
+    for coupling, start in zip(stacked, raw):
+        assert np.array_equal(coupling.plan, sinkhorn_project(start, h, g).plan)
+
+
+def test_stack_with_one_slice_at_the_sweep_cap(monkeypatch):
+    rng = np.random.default_rng(11)
+    h = normalize_masses(rng.random(6) + 0.2)
+    g = normalize_masses(rng.random(5) + 0.2)
+    raw = rng.uniform(0, 1, size=(4, 6, 5)) + 1e-6
+    raw[2] = np.exp(6.0 * rng.standard_normal((6, 5)))
+
+    def scale(stack, max_sweeps):
+        return linear_ot._scale(
+            stack.copy(), h.weights, g.weights, PROJECTION_DELTA, max_sweeps
+        )
+
+    _, need, _ = scale(raw, 10_000)
+    # slice 2 needs one sweep more than the cap, the others fewer
+    cap = int(need[2]) - 1
+    assert need[[0, 1, 3]].max() < cap
+    plans, sweeps, converged = scale(raw, cap)
+    assert converged.tolist() == [True, True, False, True]
+    assert sweeps.tolist() == [need[0], need[1], cap, need[3]]
+    for t in range(4):
+        assert np.array_equal(plans[t], scale(raw[t : t + 1], cap)[0][0])
+    monkeypatch.setattr(linear_ot, "PROJECTION_MAX_SWEEPS", cap)
+    with pytest.raises(NoConvergence, match=r"slices \[2\]"):
+        sinkhorn_project(raw, h, g)
+    with pytest.raises(NoConvergence):
+        sinkhorn_project(raw[2], h, g)
+    for t in (0, 1, 3):
+        assert np.array_equal(sinkhorn_project(raw[t], h, g).plan, plans[t])
 
 
 class TestW2Gaussian:
