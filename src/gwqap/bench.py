@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Coupling, SeedPolicy, SymCostMatrix
+from .core import Coupling, SeedPolicy, SymCostMatrix, check_count
 from .cqap import (
     CqapInstance,
     coupling_objective,
@@ -79,8 +79,8 @@ class InstanceSpec:
     seed: SeedPolicy
 
     def __post_init__(self):
-        if self.n_agents < 1 or self.n_tasks < 1:
-            raise ValidationError("need at least one agent and one task")
+        check_count("n_agents", self.n_agents, 1)
+        check_count("n_tasks", self.n_tasks, 1)
         if self.test_id in NAMED_SPECS:
             expect = NAMED_SPECS[self.test_id]
             if (self.n_agents, self.n_tasks) != expect:
@@ -287,8 +287,7 @@ def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
         raise ValidationError(f"test_id must be a string, got {test_id!r}")
     try:
         seed = doc.get("seed", 0)
-        if type(seed) is not int:
-            raise ValidationError(f"seed must be an integer, got {seed!r}")
+        check_count("seed", seed, 0)
         inst = CqapInstance(
             agent_pos=doc["agent_pos"],
             task_pos=doc["task_pos"],

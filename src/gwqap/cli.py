@@ -29,7 +29,7 @@ from .bench import (
     sweep as sweep_cells,
 )
 from .core import SeedPolicy
-from .cqap import solve_exact_enum
+from .cqap import ORACLE_NODE_CAP, solve_exact_enum
 from .errors import GenerationFailed, Infeasible, NoConvergence, ValidationError
 
 EXIT_VALIDATION = 2
@@ -158,7 +158,7 @@ def sweep(kind, inst_path, grid, out):
     random numbers; the rows carry the file's seed.
     """
     inst, test_id, inst_seed = _load_instance(inst_path)
-    values = [float(v) for v in grid.split(",")]
+    values = [_grid_value(v) for v in grid.split(",")]
     spec = InstanceSpec(test_id, inst.n, inst.m, SeedPolicy(inst_seed))
     reports = sweep_cells(spec, inst, _SWEEP_METHODS[kind], values)
     with open(out, "wb") as fh:
@@ -166,10 +166,17 @@ def sweep(kind, inst_path, grid, out):
     click.echo(f"wrote {len(reports)} sweep rows to {out}")
 
 
+def _grid_value(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"--grid value {text!r} is not a number") from None
+
+
 @main.command()
 @click.option("--inst", "inst_path", type=click.Path(exists=True), required=True)
 @click.option(
-    "--node-cap", type=int, default=100_000_000,
+    "--node-cap", type=int, default=ORACLE_NODE_CAP,
     help="Nodes searched before giving up (default 10^8). At about 10-15 us a "
     "node, an M-size instance the search does not prove runs some 15-25 "
     "minutes before the unproven answer.",

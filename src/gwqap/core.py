@@ -198,6 +198,11 @@ class SeedPolicy:
     master_seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # numpy's SeedSequence takes only nonnegative integers
+        check_count("master_seed", self.master_seed, 0)
+        check_count("stream_id", self.stream_id, 0)
+
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(
             entropy=self.master_seed, spawn_key=(self.stream_id,)

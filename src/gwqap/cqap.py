@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .core import Coupling, MmSpace, SymCostMatrix, _as_float_array, normalize_masses
+from .core import (
+    Coupling, MmSpace, SymCostMatrix, _as_float_array, check_count, normalize_masses
+)
 from .errors import (
     DimensionMismatch,
     Infeasible,
@@ -27,7 +28,11 @@ from .errors import (
     ValidationError,
 )
 from .gw import FgwProblem, GwProblem
-from .linear_ot import _binary_program, _transport_constraints
+from .linear_ot import nearest_capacity_assignment
+
+# nodes the exact oracle searches before it gives up; at about 10-15 us a
+# node, an M-size instance it does not prove takes some 15-25 minutes
+ORACLE_NODE_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -199,12 +204,13 @@ def round_coupling(inst: CqapInstance, plan: Coupling) -> AssignmentMatrix:
     which part of task j each agent holds. The rounding is the assignment
     nearest to Y in Frobenius norm under the CQAP's capacity constraints
     that leaves the fewest tasks uncovered: a generalized assignment
-    problem solved exactly as a MILP. When several assignments are equally
-    near, HiGHS's search picks the one returned, so a HiGHS release or a
-    solver option can change the pick. A descent then moves one task to
-    another agent, or swaps the agents of two tasks, while that lowers the
-    CQAP objective and keeps every load within capacity. On an instance no
-    assignment satisfies, the result covers as many tasks as possible and
+    problem that ``linear_ot.nearest_capacity_assignment`` solves exactly
+    as one HiGHS MILP. When several assignments are equally near, HiGHS's
+    search picks the one returned, so a HiGHS release or a solver option
+    can change the pick. A descent then moves one task to another agent,
+    or swaps the agents of two tasks, while that lowers the CQAP objective
+    and keeps every load within capacity. On an instance no assignment
+    satisfies, the result covers as many tasks as possible and
     check_feasible reports the rest.
     """
     if plan.plan.shape != (inst.n, inst.m):
@@ -213,49 +219,8 @@ def round_coupling(inst: CqapInstance, plan: Coupling) -> AssignmentMatrix:
     shares = np.divide(
         plan.plan, col[None, :], out=np.zeros_like(plan.plan), where=col > 0
     )
-    x = _nearest_assignment(inst, shares)
+    x = nearest_capacity_assignment(shares, inst.capacity, inst.demand)
     return AssignmentMatrix(_descend(inst, x))
-
-
-def _nearest_assignment(inst: CqapInstance, shares: np.ndarray) -> np.ndarray:
-    """Binary x within capacity minimizing first the number of uncovered
-    tasks, then ||x - shares||^2; one HiGHS MILP.
-
-    Variables are x (n*m) and z (m), z_j = 1 marking task j uncovered.
-    For binary x, ||x - Y||^2 = sum x (1 - 2Y) + const, a sum that moves by
-    less than 2nm + 1, the cost of one uncovered task.
-    """
-    n, m = inst.n, inst.m
-    u = inst.capacity.astype(np.float64)
-    d = inst.demand.astype(np.float64)
-    cost = np.concatenate(
-        [(1.0 - 2.0 * shares).ravel(), np.full(m, 2.0 * n * m + 1.0)]
-    )
-    A = _assignment_constraints(u, d)
-    lower = np.concatenate([np.full(n, -np.inf), d])
-    upper = np.concatenate([u, np.full(m, np.inf)])
-    x = _binary_program(cost, A, lower, upper)[: n * m]
-    return np.rint(x).reshape(n, m).astype(np.int64)
-
-
-def _assignment_constraints(u: np.ndarray, d: np.ndarray) -> sparse.csc_matrix:
-    """CSC rows [capacity; coverage] over columns [x (n*m); z (m)].
-
-    Column i*m + j has the transportation LP's pattern (rows i and n + j)
-    with values d_j and u_i; column n*m + j holds d_j in row n + j.
-    """
-    n, m = u.size, d.size
-    T = _transport_constraints(n, m)
-    xz = np.column_stack([np.tile(d, n), np.repeat(u, m)]).ravel()
-    z = np.arange(m, dtype=T.indices.dtype)
-    return sparse.csc_matrix(
-        (
-            np.concatenate([xz, d]),
-            np.concatenate([T.indices, n + z]),
-            np.concatenate([T.indptr, T.indptr[-1] + 1 + z]),
-        ),
-        shape=(n + m, n * m + m),
-    )
 
 
 def _descend(inst: CqapInstance, x: np.ndarray) -> np.ndarray:
@@ -338,7 +303,7 @@ def _reassign(x, G, load, F, D, d, j, k):
 
 
 def solve_exact_enum(
-    inst: CqapInstance, node_cap: int = 100_000_000
+    inst: CqapInstance, node_cap: int = ORACLE_NODE_CAP
 ) -> tuple[AssignmentMatrix, float, bool]:
     """Exact oracle: depth-first branch and bound with one agent per task.
 
@@ -353,6 +318,7 @@ def solve_exact_enum(
     Raises Infeasible when no assignment can satisfy the constraints, and
     NoConvergence when the cap stops the search before it finds one.
     """
+    check_count("node_cap", node_cap, 1)
     n, m = inst.n, inst.m
     d = inst.demand
     F = inst.flow.entries

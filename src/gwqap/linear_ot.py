@@ -148,15 +148,35 @@ def _north_west_basis(h, g):
     return basis
 
 
-def _transport_constraints(n, m):
-    # column i*m + j of the row-sum and column-sum constraints has its two
-    # ones in rows i and n + j
+def _transport_pattern(n, m):
+    """CSC (indices, indptr) of the transportation LP's n + m marginal rows:
+    column i*m + j has its two entries in rows i and n + j."""
     rows = np.empty((n * m, 2), dtype=np.int32)
     rows[:, 0] = np.repeat(np.arange(n), m)
     rows[:, 1] = n + np.tile(np.arange(m), n)
-    indptr = np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
+    return rows.ravel(), np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
+
+
+def _transport_constraints(n, m):
     return sparse.csc_matrix(
-        (np.ones(2 * n * m), rows.ravel(), indptr), shape=(n + m, n * m)
+        (np.ones(2 * n * m), *_transport_pattern(n, m)), shape=(n + m, n * m)
+    )
+
+
+def _capacity_constraints(u, d):
+    """CSC rows [capacity; coverage] over columns [x (n*m); z (m)].
+
+    Column i*m + j has the transportation LP's pattern (rows i and n + j)
+    with values d_j and u_i; column n*m + j holds d_j in row n + j.
+    """
+    n, m = u.size, d.size
+    indices, indptr = _transport_pattern(n, m)
+    values = np.column_stack([np.tile(d, n), np.repeat(u, m)]).ravel()
+    z = np.arange(m, dtype=np.int32)
+    return sparse.csc_matrix(
+        (np.concatenate([values, d]), np.concatenate([indices, n + z]),
+         np.concatenate([indptr, indptr[-1] + 1 + z])),
+        shape=(n + m, n * m + m),
     )
 
 
@@ -197,9 +217,18 @@ def _highs_solution(model, what: str) -> np.ndarray:
     return np.array(model.getSolution().col_value)
 
 
-def _binary_program(cost, A, lower, upper) -> np.ndarray:
-    """min cost @ x s.t. lower <= A x <= upper, x binary (feasible by
-    construction)."""
+def nearest_capacity_assignment(shares, u, d) -> np.ndarray:
+    """Binary x (n, m) within the capacities u minimizing first the number
+    of tasks of demand d it leaves uncovered, then ||x - shares||^2; one
+    HiGHS MILP over x (n*m) and z (m), z_j = 1 marking task j uncovered.
+
+    For binary x and Y = shares, ||x - Y||^2 = sum x (1 - 2Y) + const, a
+    sum that moves by less than 2nm + 1, the cost of one uncovered task.
+    """
+    n, m = shares.shape
+    u = np.asarray(u, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    cost = np.concatenate([(1.0 - 2.0 * shares).ravel(), np.full(m, 2.0 * n * m + 1.0)])
     # HiGHS's default cut and conflict pools (10^4 entries) raised the
     # process's peak memory by about 10 MB over a few dozen 20 x 20
     # roundings; a small pool leaves the solve exact. The feasibility-jump
@@ -208,10 +237,13 @@ def _binary_program(cost, A, lower, upper) -> np.ndarray:
     # rounding took 8.1 ms with it and 0.74 ms without, a 4 x 4 one 15 and
     # 0.9 ms); the roundings close at the root node, so it never pays
     model = _highs_model(
-        A, cost, np.ones(cost.size), lower, upper, integer=True,
-        mip_pool_soft_limit=10, mip_heuristic_run_feasibility_jump=False,
+        _capacity_constraints(u, d), cost, np.ones(cost.size),
+        np.concatenate([np.full(n, -np.inf), d]),
+        np.concatenate([u, np.full(m, np.inf)]),
+        integer=True, mip_pool_soft_limit=10, mip_heuristic_run_feasibility_jump=False,
     )
-    return _highs_solution(model, "rounding MILP")
+    x = _highs_solution(model, "rounding MILP")[: n * m]
+    return np.rint(x).reshape(n, m).astype(np.int64)
 
 
 def sinkhorn(

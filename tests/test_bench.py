@@ -65,6 +65,15 @@ class TestGenerateInstance:
             spec = InstanceSpec.named(tid, SeedPolicy(0))
             assert (spec.n_agents, spec.n_tasks) == (n, m)
 
+    @pytest.mark.parametrize(
+        "n, m, name",
+        [(2.5, 3, "n_agents"), (True, 3, "n_agents"), (0, 3, "n_agents"),
+         (3, -1, "n_tasks"), (3, 2.0, "n_tasks")],
+    )
+    def test_sizes_are_checked_counts(self, n, m, name):
+        with pytest.raises(ValidationError, match=name):
+            InstanceSpec("x", n, m, SeedPolicy(0))
+
     def test_generated_masses_feasible(self):
         for seed in range(10):
             inst = generate_instance(InstanceSpec.named("S2", SeedPolicy(seed)))
@@ -104,6 +113,13 @@ class TestInstanceJson:
         doc = json.loads(instance_to_json(inst, test_id="S1", seed=0))
         doc[field] = value
         with pytest.raises(ValidationError, match=match):
+            instance_from_json(json.dumps(doc))
+
+    def test_negative_seed_rejected(self):
+        inst = generate_instance(InstanceSpec.named("S1", SeedPolicy(0)))
+        doc = json.loads(instance_to_json(inst, test_id="S1", seed=0))
+        doc["seed"] = -1
+        with pytest.raises(ValidationError, match="seed"):
             instance_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(

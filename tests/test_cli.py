@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from gwqap.bench import CSV_COLUMNS, instance_to_json
 from gwqap.cli import main
+from gwqap.cqap import ORACLE_NODE_CAP, solve_exact_enum
 from tests.test_cqap import make_instance
 
 
@@ -324,6 +326,52 @@ def test_solve_negative_ga_generations_exit_code(tmp_path):
     assert result.exit_code == 2, result.output
     assert "generations must be >= 0" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "bench"])
+def test_negative_seed_exit_code(tmp_path, command):
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    args = {
+        "gen": ["gen", "--spec", "S1"],
+        "solve": ["solve", "--inst", str(path), "--method", "gw"],
+        "bench": ["bench", "--specs", "S1", "--methods", "exact"],
+    }[command]
+    result = CliRunner().invoke(
+        main, [*args, "--seed", "-1", "--out", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2, result.output
+    assert "master_seed must be >= 0" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_non_numeric_grid_exit_code(tmp_path):
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    result = CliRunner().invoke(
+        main,
+        ["sweep", "--kind", "alpha", "--inst", str(path), "--grid", "0.5,a",
+         "--out", str(tmp_path / "s.csv")],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--grid value 'a' is not a number" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_oracle_node_cap_below_one_exit_code(tmp_path, cap):
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    result = CliRunner().invoke(main, ["oracle", "--inst", str(path), "--node-cap", cap])
+    assert result.exit_code == 2, result.output
+    assert "node_cap must be >= 1" in result.output
+
+
+def test_oracle_default_node_cap_is_the_library_default():
+    (param,) = [p for p in main.commands["oracle"].params if p.name == "node_cap"]
+    assert param.default == ORACLE_NODE_CAP
+    assert inspect.signature(solve_exact_enum).parameters["node_cap"].default == ORACLE_NODE_CAP
 
 
 def test_internal_value_error_is_not_a_validation_exit(tmp_path, monkeypatch):

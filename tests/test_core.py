@@ -157,3 +157,13 @@ class TestSeedPolicy:
 
     def test_substream_matches_direct_construction(self):
         assert SeedPolicy(5, 2).substream(3) == SeedPolicy(5, 5)
+
+    @pytest.mark.parametrize(
+        "master_seed, stream_id, name",
+        [(-1, 0, "master_seed"), (0, -1, "stream_id"), (2.5, 0, "master_seed"),
+         (True, 0, "master_seed"), (0, "1", "stream_id")],
+    )
+    def test_rejects_negative_or_non_integer(self, master_seed, stream_id, name):
+        # numpy's SeedSequence would raise ValueError or TypeError later
+        with pytest.raises(ValidationError, match=name):
+            SeedPolicy(master_seed, stream_id)

@@ -273,7 +273,7 @@ class TestRoundCoupling:
     def test_constraint_matrix_matches_kron_reference(self, n, m):
         from scipy import sparse
 
-        from gwqap.cqap import _assignment_constraints
+        from gwqap.linear_ot import _capacity_constraints
 
         rng = np.random.default_rng(n * 100 + m)
         u = rng.integers(1, 9, n).astype(np.float64)
@@ -287,7 +287,7 @@ class TestRoundCoupling:
             ],
             format="csc",
         )
-        A = _assignment_constraints(u, d)
+        A = _capacity_constraints(u, d)
         assert A.shape == ref.shape
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A, part), getattr(ref, part)), part
@@ -298,7 +298,6 @@ class TestRoundCoupling:
 
     def test_nearest_assignment_matches_brute_force(self, monkeypatch):
         from gwqap import linear_ot
-        from gwqap.cqap import _nearest_assignment
 
         # the MILP's branch-and-bound node count, from the HiGHS model run
         nodes = []
@@ -320,7 +319,7 @@ class TestRoundCoupling:
             shares[:, :2] = 0.0
             shares[rng.permutation(n)[:3], 0] = [0.4, 0.4, 0.2]
             shares[rng.permutation(n)[:2], 1] = [0.5, 0.5]
-            x = _nearest_assignment(inst, shares)
+            x = linear_ot.nearest_capacity_assignment(shares, inst.capacity, inst.demand)
             assert (x @ inst.demand <= inst.capacity).all()
             missed = int((x.sum(axis=0) == 0).sum())
             value = (x * (1.0 - 2.0 * shares)).sum() + (2 * n * m + 1) * missed
@@ -372,6 +371,12 @@ class TestSolveExactEnum:
         inst = generate_instance(InstanceSpec("S2", 4, 4, SeedPolicy(3)))
         with pytest.raises(NoConvergence):
             solve_exact_enum(inst, node_cap=3)
+
+    @pytest.mark.parametrize("node_cap", [0, -1, True, 2.5])
+    def test_node_cap_is_a_checked_count(self, node_cap):
+        inst = make_instance([5], [3], linear=[[2.5]])
+        with pytest.raises(ValidationError, match="node_cap"):
+            solve_exact_enum(inst, node_cap=node_cap)
 
     @pytest.mark.parametrize("sid,seed", sorted(ORACLE_PINS))
     def test_pinned_to_subset_enumeration(self, sid, seed):

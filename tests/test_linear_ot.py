@@ -207,18 +207,27 @@ def _north_west_plan(h, g):
 
 
 def _backend_references(tree):
-    """The imports from scipy.optimize and the uses of the name ``_highs``
-    in a module's syntax tree."""
+    """The imports from scipy, the uses of the name ``_highs`` and the
+    underscore names of linear_ot reached in a gwqap module's syntax tree;
+    a relative import names its module in the package ``gwqap``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module:
-            names = {f"{node.module}.{alias.name}" for alias in node.names}
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["gwqap" if node.level else "", node.module]))
+            names = {f"{module}.{alias.name}" for alias in node.names}
         elif isinstance(node, ast.Import):
             names = {alias.name for alias in node.names}
         else:
             names = set()
         for name in names:
-            if name == "scipy.optimize" or name.startswith("scipy.optimize."):
+            if name == "scipy" or name.startswith("scipy."):
                 yield node.lineno, f"imports {name}"
+            if name.startswith("gwqap.linear_ot._"):
+                yield node.lineno, f"imports {name}"
+        if (
+            isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and getattr(node.value, "id", None) == "linear_ot"
+        ):
+            yield node.lineno, f"uses linear_ot.{node.attr}"
         named = {getattr(node, "id", None), getattr(node, "attr", None)}
         if isinstance(node, ast.alias):
             named |= {node.name, node.asname}
@@ -314,7 +323,8 @@ def test_highs_model_raises_on_a_refused_option(option, value):
 
 
 def test_only_linear_ot_talks_to_the_solver_backend():
-    # linear_ot alone builds HiGHS models and calls scipy's LP/MILP solvers
+    # linear_ot alone imports scipy, builds HiGHS models and calls scipy's
+    # LP/MILP solvers, and no module reaches into its private helpers
     package = Path(linear_ot.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert package / "linear_ot.py" in modules
