@@ -1,8 +1,12 @@
 """Shared domain types and the deterministic RNG policy.
 
 Each type checks its own data when it is built: ``Histogram``,
-``SymCostMatrix`` and ``GaussianMeasure`` convert to float64 and reject a
-non-finite entry before the checks that a NaN would pass.
+``SymCostMatrix``, ``GaussianMeasure`` and ``Coupling`` convert to float64
+and reject a non-finite entry (NonFinite) before the checks that a NaN would
+pass. ``_as_matrix`` also checks an exact shape (DimensionMismatch); a
+``Coupling``'s plan, an ``AssignmentMatrix`` and every cost or plan that
+``linear_ot``, ``gw`` and ``cqap`` take go through it or
+``_as_float_array``, so a solver sees only finite float64 arrays.
 
 All arithmetic is float64. Tolerances are fixed library-wide: histogram
 mass HIST_TOL, coupling marginals MARGINAL_TOL (post-solve, solver inits,
@@ -48,6 +52,14 @@ def _as_float_array(x, ndim, what):
         raise DimensionMismatch(f"{what} must be {ndim}-d, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise NonFinite(f"{what} has a non-finite entry")
+    return a
+
+
+def _as_matrix(x, shape, what):
+    """x as a finite float64 array of exactly ``shape``; ``what`` names it in errors."""
+    a = _as_float_array(x, len(shape), what)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{what} is {a.shape}, expected {shape}")
     return a
 
 
@@ -105,22 +117,19 @@ class Coupling:
         return self.plan.shape
 
     def __post_init__(self):
-        n, m = self.plan.shape
-        if self.row_marginal.n != n or self.col_marginal.n != m:
-            raise DimensionMismatch(
-                f"plan {self.plan.shape} vs marginals "
-                f"({self.row_marginal.n}, {self.col_marginal.n})"
-            )
+        shape = (self.row_marginal.n, self.col_marginal.n)
+        object.__setattr__(self, "plan", _as_matrix(self.plan, shape, "plan"))
 
 
 def marginal_violation(coupling: Coupling) -> tuple[float, float]:
     """Inf-norm deviation of the plan's row/column sums from its marginals."""
-    row_err = float(
-        np.abs(coupling.plan.sum(axis=1) - coupling.row_marginal.weights).max()
-    )
-    col_err = float(
-        np.abs(coupling.plan.sum(axis=0) - coupling.col_marginal.weights).max()
-    )
+    return _marginal_errors(coupling.plan, coupling.row_marginal, coupling.col_marginal)
+
+
+def _marginal_errors(plan, h: Histogram, g: Histogram) -> tuple[float, float]:
+    """Inf-norm deviation of a checked plan's row/column sums from h and g."""
+    row_err = float(np.abs(plan.sum(axis=1) - h.weights).max())
+    col_err = float(np.abs(plan.sum(axis=0) - g.weights).max())
     return row_err, col_err
 
 

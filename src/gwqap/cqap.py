@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    Coupling, MmSpace, SymCostMatrix, _as_float_array, check_count, normalize_masses
+    Coupling, MmSpace, SymCostMatrix, _as_float_array, _as_matrix, check_count, normalize_masses
 )
 from .errors import (
     DimensionMismatch,
@@ -61,11 +61,12 @@ class CqapInstance:
             if not (a == np.trunc(a)).all():
                 raise ValidationError(f"{name} must be whole numbers")
             object.__setattr__(self, name, a.astype(np.int64))
-        for name, what in zip(("agent_pos", "task_pos", "linear_cost"),
-                              ("agent positions", "task positions", "linear cost")):
-            object.__setattr__(self, name, _as_float_array(getattr(self, name), 2, what))
         n, m = self.n, self.m
-        F, D, C = self.flow.entries, self.distance.entries, self.linear_cost
+        C = _as_matrix(self.linear_cost, (n, m), "linear cost")
+        object.__setattr__(self, "linear_cost", C)
+        for name, what in (("agent_pos", "agent positions"), ("task_pos", "task positions")):
+            object.__setattr__(self, name, _as_float_array(getattr(self, name), 2, what))
+        F, D = self.flow.entries, self.distance.entries
         # the exact oracle prunes on partial costs, a bound only if none is
         # < 0; all are finite by now (SymCostMatrix checks F and D)
         for name, a in (("flow", F), ("distance", D), ("linear cost", C)):
@@ -73,10 +74,8 @@ class CqapInstance:
                 raise NegativeWeight(f"{name} has a negative entry")
         if self.flow.n != n or self.distance.n != m:
             raise DimensionMismatch("flow/distance sizes disagree with u/d")
-        if C.shape != (n, m):
-            raise DimensionMismatch("linear cost must be n x m")
         if np.any(self.capacity < 1) or np.any(self.demand < 1):
-            raise DimensionMismatch("capacities and demands must be >= 1")
+            raise ValidationError("capacities and demands must be >= 1")
         P, Q = self.agent_pos, self.task_pos
         if P.shape[0] != n or Q.shape != (m, P.shape[1]):
             raise DimensionMismatch(
@@ -93,21 +92,22 @@ class CqapInstance:
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    x: np.ndarray  # n x m binary
+    x: np.ndarray  # n x m binary array-like, stored as int64
 
     def __post_init__(self):
-        if not ((self.x == 0) | (self.x == 1)).all():
-            raise DimensionMismatch("assignment entries must be 0/1")
+        x = _as_float_array(self.x, 2, "assignment")
+        if not ((x == 0) | (x == 1)).all():
+            raise ValidationError("assignment entries must be 0/1")
+        object.__setattr__(self, "x", x.astype(np.int64))
 
 
 def cqap_objective(inst: CqapInstance, assignment: AssignmentMatrix) -> float:
     """Exact quadratic-plus-linear value of a binary assignment."""
-    return _objective(inst, np.asarray(assignment.x, dtype=np.float64))
+    return _objective(inst, assignment.x)
 
 
-def _objective(inst: CqapInstance, x: np.ndarray) -> float:
-    if x.shape != (inst.n, inst.m):
-        raise DimensionMismatch(f"x is {x.shape}, instance is ({inst.n}, {inst.m})")
+def _objective(inst: CqapInstance, x) -> float:
+    x = _as_matrix(x, (inst.n, inst.m), "x")
     F = inst.flow.entries
     D = inst.distance.entries
     quad = float((x * (F @ x @ D.T)).sum())
@@ -117,9 +117,7 @@ def _objective(inst: CqapInstance, x: np.ndarray) -> float:
 
 def check_feasible(inst: CqapInstance, assignment: AssignmentMatrix):
     """Capacity and demand-coverage check; returns (ok, violations)."""
-    x = assignment.x
-    if x.shape != (inst.n, inst.m):
-        raise DimensionMismatch(f"x is {x.shape}, instance is ({inst.n}, {inst.m})")
+    x = _as_matrix(assignment.x, (inst.n, inst.m), "x")
     violations = []
     load = x @ inst.demand
     for i in np.flatnonzero(load > inst.capacity):
@@ -213,12 +211,9 @@ def round_coupling(inst: CqapInstance, plan: Coupling) -> AssignmentMatrix:
     satisfies, the result covers as many tasks as possible and
     check_feasible reports the rest.
     """
-    if plan.plan.shape != (inst.n, inst.m):
-        raise DimensionMismatch("plan shape does not match instance")
-    col = plan.plan.sum(axis=0)
-    shares = np.divide(
-        plan.plan, col[None, :], out=np.zeros_like(plan.plan), where=col > 0
-    )
+    p = _as_matrix(plan.plan, (inst.n, inst.m), "plan")
+    col = p.sum(axis=0)
+    shares = np.divide(p, col[None, :], out=np.zeros_like(p), where=col > 0)
     x = nearest_capacity_assignment(shares, inst.capacity, inst.demand)
     return AssignmentMatrix(_descend(inst, x))
 

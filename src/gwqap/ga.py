@@ -62,7 +62,7 @@ def decode(inst: CqapInstance, priority) -> AssignmentMatrix:
         i = feasible[np.argmin(delta)]
         x[i, j] = 1
         residual[i] -= inst.demand[j]
-    return AssignmentMatrix(x.astype(np.int64))
+    return AssignmentMatrix(x)
 
 
 def _order_crossover(p1: tuple, p2: tuple, a: int, b: int) -> tuple:

@@ -50,14 +50,12 @@ from .core import (
     Coupling,
     MmSpace,
     SeedPolicy,
-    _as_float_array,
+    _as_matrix,
+    _marginal_errors,
     check_count,
-    marginal_violation,
     product_coupling,
 )
-from .errors import (
-    AlphaOutOfRange, DimensionMismatch, GwqapError, InvalidInit, ValidationError
-)
+from .errors import AlphaOutOfRange, GwqapError, InvalidInit, ValidationError
 from .linear_ot import TransportLp, sinkhorn, sinkhorn_project, solve_exact_ot
 
 
@@ -119,13 +117,8 @@ class FgwProblem:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise AlphaOutOfRange(f"alpha={self.alpha} outside [0, 1]")
-        M = _as_float_array(self.feature_cost, 2, "feature cost")
+        M = _as_matrix(self.feature_cost, self.gw.shape, "feature cost")
         object.__setattr__(self, "feature_cost", M)
-        if M.shape != self.gw.shape:
-            raise DimensionMismatch(
-                f"feature cost is {M.shape}, "
-                f"problem is {self.gw.shape}"
-            )
 
 
 @dataclass(frozen=True)
@@ -150,12 +143,13 @@ class GwSolution:
 
 
 def _check_plan(problem: GwProblem, plan) -> np.ndarray:
-    p = plan.plan if isinstance(plan, Coupling) else np.asarray(plan, float)
-    if p.shape != problem.shape:
-        raise DimensionMismatch(
-            f"plan is {p.shape}, problem is {problem.shape}"
-        )
-    return p
+    """The plan, a Coupling or an array, as a finite matrix of the problem's
+    shape; a Coupling's plan was checked when the coupling was built."""
+    if isinstance(plan, Coupling):
+        if plan.shape == problem.shape:
+            return plan.plan
+        plan = plan.plan
+    return _as_matrix(plan, problem.shape, "plan")
 
 
 def _cross_term(problem: GwProblem, X):
@@ -189,9 +183,7 @@ def _check_init(problem: GwProblem, init: Coupling | None) -> Coupling:
         return problem.default_init()
     if init.shape != problem.shape:
         raise InvalidInit(f"init shape {init.shape} != {problem.shape}")
-    row_err, col_err = marginal_violation(
-        Coupling(init.plan, problem.source.mass, problem.target.mass)
-    )
+    row_err, col_err = _marginal_errors(init.plan, problem.source.mass, problem.target.mass)
     if max(row_err, col_err) > MARGINAL_TOL:
         raise InvalidInit(f"init marginals off by ({row_err:.2e}, {col_err:.2e})")
     return init

@@ -11,10 +11,11 @@ from scipy.optimize import linear_sum_assignment
 from scipy.optimize._highspy import _core as _highs
 
 from .core import (
-    MARGINAL_TOL, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS, Coupling, Histogram, check_count
+    MARGINAL_TOL, PROJECTION_DELTA, PROJECTION_MAX_SWEEPS, Coupling, Histogram,
+    _as_float_array, _as_matrix, check_count,
 )
 from .errors import (
-    DimensionMismatch, NoConvergence, NonSquare, NumericalUnderflow, ValidationError
+    DimensionMismatch, NoConvergence, NonFinite, NonSquare, NumericalUnderflow, ValidationError
 )
 
 # switch to log-domain scaling once exp(-C/eps) risks underflow
@@ -30,11 +31,9 @@ class Assignment:
 
 def solve_lap(cost) -> tuple[Assignment, float]:
     """Minimum-cost bijection for a square cost matrix, O(n^3)."""
-    c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    c = _as_float_array(cost, 2, "LAP cost")
+    if c.shape[0] != c.shape[1]:
         raise NonSquare(f"LAP needs a square matrix, got {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise DimensionMismatch("LAP cost must be finite")
     rows, cols = linear_sum_assignment(c)
     perm = np.empty(c.shape[0], dtype=np.intp)
     perm[rows] = cols
@@ -53,12 +52,7 @@ def solve_exact_ot(
     from its last basis; without one a fresh model solves the LP from the
     north-west-corner basis.
     """
-    c = np.asarray(cost, dtype=np.float64)
-    n, m = h.n, g.n
-    if c.shape != (n, m):
-        raise DimensionMismatch(
-            f"cost is {c.shape}, marginals need ({n}, {m})"
-        )
+    c = _as_matrix(cost, (h.n, g.n), "cost")
     if model is None:
         model = TransportLp(h, g)
     plan = model.solve(c)
@@ -255,10 +249,7 @@ def sinkhorn(
     is the unregularized transport cost <C, pi> of the returned plan. Runs in
     log-domain when max|C|/epsilon is large enough to underflow the kernel.
     """
-    c = np.asarray(cost, dtype=np.float64)
-    n, m = h.n, g.n
-    if c.shape != (n, m):
-        raise DimensionMismatch(f"cost is {c.shape}, marginals need ({n}, {m})")
+    c = _as_matrix(cost, (h.n, g.n), "cost")
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
     check_count("max_iter", max_iter, 1)
@@ -362,7 +353,7 @@ def _logsumexp_rows(M):
 
 
 def sinkhorn_project(raw, h: Histogram, g: Histogram) -> Coupling | list[Coupling]:
-    """Project a strictly positive matrix onto the coupling polytope.
+    """Project a finite, strictly positive matrix onto the coupling polytope.
 
     Alternates row then column rescaling until both marginal inf-errors drop
     below PROJECTION_DELTA, or raises NoConvergence after
@@ -380,6 +371,8 @@ def sinkhorn_project(raw, h: Histogram, g: Histogram) -> Coupling | list[Couplin
         raise DimensionMismatch(
             f"raw is {G.shape}, marginals need ({h.n}, {g.n}) or (T, {h.n}, {g.n})"
         )
+    if not np.isfinite(G).all():
+        raise NonFinite("raw has a non-finite entry")
     if not (G > 0).all():
         raise ValidationError("all entries of raw must be strictly positive")
     plans, _, converged = _on_support(

@@ -171,6 +171,7 @@ def test_solve_malformed_file_exit_code(tmp_path):
     texts = [json.dumps(no_flow), "[]", "{"]
     nan_pos = [[float("nan")] * 2] * 3
     for field, value in [("seed", "x"), ("seed", 1.7), ("capacity", [2.5, 3.9, 1.2]),
+                         ("capacity", [0, 2, 2]),
                          ("test_id", [1, 2]), ("agent_pos", [[1, 2, 3]]),
                          ("task_pos", nan_pos)]:
         texts.append(json.dumps({**doc, field: value}))
@@ -399,6 +400,22 @@ def test_solve_report_times_the_solve(tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(report.read_text())["reports"][0]["runtime_s"] > 0
+
+
+def test_solve_no_convergence_exit_code(tmp_path, monkeypatch):
+    import gwqap.gw as gw
+
+    # one Frank-Wolfe step does not meet the stopping test on this instance
+    monkeypatch.setattr(gw, "FW_MAX_ITER", 1)
+    path = tmp_path / "hand.json"
+    path.write_text(instance_to_json(_hand_made_3x3()))
+    report = tmp_path / "r.json"
+    result = CliRunner().invoke(
+        main, ["solve", "--inst", str(path), "--method", "gw", "--out", str(report)]
+    )
+    assert result.exit_code == 3, result.output
+    assert "status=NoConvergence" in result.output
+    assert json.loads(report.read_text())["reports"][0]["status"] == "NoConvergence"
 
 
 def test_sweep_rejects_seed(tmp_path):

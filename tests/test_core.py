@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gwqap import (
+    AssignmentMatrix,
     Coupling,
     GaussianMeasure,
     Histogram,
@@ -10,25 +11,38 @@ from gwqap import (
     MmSpace,
     SeedPolicy,
     SymCostMatrix,
+    check_feasible,
+    cqap_objective,
+    gw_gradient,
+    gw_loss,
     marginal_violation,
     normalize_masses,
     product_coupling,
+    round_coupling,
+    sinkhorn,
     sinkhorn_project,
     solve_entropic_gw,
+    solve_exact_ot,
+    solve_gw,
+    solve_lap,
 )
 from gwqap.cqap import CqapInstance
 from gwqap.errors import (
     AllZero,
     DimensionMismatch,
+    InvalidInit,
     NegativeWeight,
     NonFinite,
     NonSquare,
+    NotPSD,
     SumNotOne,
     ValidationError,
 )
 from gwqap.gw import FgwProblem, GwProblem
+from tests.test_cqap import make_instance
 
 NAN = float("nan")
+INF = float("inf")
 UNIF2 = Histogram(np.array([0.5, 0.5]))
 LINE2 = MmSpace(SymCostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])), UNIF2)
 
@@ -60,21 +74,69 @@ def _nan_epsilon():
         (_fractional_capacity, ValidationError),
         (lambda: FgwProblem(GwProblem(LINE2, LINE2), np.array([[NAN, 0.0], [0.0, 0.0]]), 0.5),
          NonFinite),
-        (lambda: sinkhorn_project(np.full((2, 2), NAN), UNIF2, UNIF2), ValidationError),
+        (lambda: sinkhorn_project(np.full((2, 2), NAN), UNIF2, UNIF2), NonFinite),
         (_nan_epsilon, ValidationError),
+        (lambda: Histogram([]), DimensionMismatch),
+        (lambda: normalize_masses([-1.0, 2.0]), NegativeWeight),
+        (lambda: MmSpace(LINE2.structure, Histogram([1.0])), DimensionMismatch),
+        (lambda: GaussianMeasure(np.zeros(2), np.zeros((2, 3))), NonSquare),
+        (lambda: GaussianMeasure(np.zeros(3), np.eye(2)), DimensionMismatch),
+        (lambda: GaussianMeasure(np.zeros(2), [[1.0, 0.5], [0.0, 1.0]]), NotPSD),
+        (lambda: Coupling([[NAN, 0.5], [0.5, 0.0]], UNIF2, UNIF2), NonFinite),
+        (lambda: Coupling([0.5, 0.5], UNIF2, UNIF2), DimensionMismatch),
+        (lambda: Coupling(np.full((2, 3), 1 / 6), UNIF2, UNIF2), DimensionMismatch),
+        (lambda: solve_lap([[NAN, 0.0], [0.0, 0.0]]), NonFinite),
+        (lambda: solve_exact_ot([[NAN, 0.0], [0.0, 0.0]], UNIF2, UNIF2), NonFinite),
+        (lambda: solve_exact_ot([[INF, 0.0], [0.0, 0.0]], UNIF2, UNIF2), NonFinite),
+        (lambda: solve_exact_ot([[INF, INF], [0.0, 0.0]], UNIF2, UNIF2), NonFinite),
+        (lambda: sinkhorn([[NAN, 0.0], [0.0, 0.0]], UNIF2, UNIF2, 0.1), NonFinite),
+        (lambda: sinkhorn_project([[INF, 1.0], [1.0, 1.0]], UNIF2, UNIF2), NonFinite),
+        (lambda: GwProblem(LINE2, LINE2, concavity=-1.0), ValidationError),
+        (lambda: FgwProblem(GwProblem(LINE2, LINE2), np.zeros((2, 3)), 0.5), DimensionMismatch),
+        (lambda: gw_loss(GwProblem(LINE2, LINE2), np.full((2, 2), NAN)), NonFinite),
+        (lambda: gw_gradient(GwProblem(LINE2, LINE2), np.full((2, 2), NAN)), NonFinite),
+        (lambda: solve_gw(GwProblem(LINE2, LINE2), product_coupling(UNIF2, Histogram([1.0]))),
+         InvalidInit),
+        (lambda: make_instance([1, 1], [1, 1], flow=[[0.0]]), DimensionMismatch),
+        (lambda: make_instance([1, 1], [1, 1], linear=np.zeros((2, 3))), DimensionMismatch),
+        (lambda: make_instance([0, 1], [1, 1]), ValidationError),
+        (lambda: AssignmentMatrix([[2]]), ValidationError),
+        (lambda: AssignmentMatrix([[NAN]]), NonFinite),
+        (lambda: AssignmentMatrix([1, 0]), DimensionMismatch),
+        (lambda: cqap_objective(make_instance([1, 1], [1, 1]), AssignmentMatrix(np.eye(3))),
+         DimensionMismatch),
+        (lambda: check_feasible(make_instance([1, 1], [1, 1]), AssignmentMatrix(np.eye(3))),
+         DimensionMismatch),
+        (lambda: round_coupling(make_instance([1, 1], [1, 1]),
+                                product_coupling(Histogram([1.0]), UNIF2)), DimensionMismatch),
     ],
     ids=[
         "asymmetric-structure", "non-square-structure", "nan-structure",
         "nan-weight", "mass-1.5", "nested-list-weights", "inf-mass",
         "nan-covariance", "fractional-capacity", "nan-feature-cost",
-        "nan-projection-input", "nan-epsilon",
+        "nan-projection-input", "nan-epsilon", "empty-histogram", "negative-mass",
+        "structure-mass-sizes", "non-square-covariance", "mean-covariance-sizes",
+        "asymmetric-covariance", "nan-plan", "1-d-plan", "plan-marginal-sizes",
+        "nan-lap-cost", "nan-ot-cost", "inf-ot-cost", "inf-ot-cost-row",
+        "nan-sinkhorn-cost", "inf-projection-input", "negative-concavity",
+        "feature-cost-shape", "nan-loss-plan", "nan-gradient-plan", "init-shape",
+        "flow-size", "linear-cost-shape", "capacity-below-one", "non-binary-assignment",
+        "nan-assignment", "1-d-assignment", "objective-assignment-shape",
+        "feasibility-assignment-shape", "rounded-coupling-shape",
     ],
 )
 def test_each_type_rejects_bad_data(build, error):
-    """Every domain type checks its data when built; nothing reaches a solver
-    unchecked."""
-    with pytest.raises(error):
+    """Every domain type checks its data when built, and every solver checks
+    the costs and plans it is handed: ``Coupling`` and ``AssignmentMatrix``
+    their own data, ``solve_lap``, ``solve_exact_ot``, ``sinkhorn`` and
+    ``sinkhorn_project`` their input, ``gw_loss`` and ``gw_gradient`` their
+    plan, and the CQAP functions the instance's shape. So nothing reaches a
+    solver unchecked: a NaN coupling cannot be built, so no solver or
+    rounding sees one. Each case raises exactly the class named: non-finite
+    data NonFinite, a wrong shape DimensionMismatch, both ValidationErrors."""
+    with pytest.raises(ValidationError) as caught:
         build()
+    assert caught.type is error
 
 
 def test_types_convert_array_likes():
@@ -82,6 +144,8 @@ def test_types_convert_array_likes():
     assert SymCostMatrix([[0, 1], [1, 0]]).entries.dtype == np.float64
     fgw = FgwProblem(GwProblem(LINE2, LINE2), [[0, 1], [1, 0]], 0.5)
     assert fgw.feature_cost.dtype == np.float64
+    assert Coupling([[0.5, 0.0], [0.0, 0.5]], UNIF2, UNIF2).plan.dtype == np.float64
+    assert AssignmentMatrix([[1, 0], [0, 1]]).x.dtype == np.int64
 
 
 class TestValidateHistogram:

@@ -500,6 +500,23 @@ class TestMultiInit:
         assert len(solved) == 4 and solved[0] is None
         assert sol.trial_of_origin != 2
 
+    def test_failed_solve_is_recorded(self, monkeypatch):
+        rng = np.random.default_rng(85)
+        prob = GwProblem(random_space(rng, 5), random_space(rng, 4))
+        solve, solved = gw.solve_gw, []
+
+        def flaky(problem, init=None, **kwargs):
+            # the default start is solved first, so the third solve is trial 2's
+            solved.append(init)
+            if len(solved) == 3:
+                raise NoConvergence("solve stalled")
+            return solve(problem, init, **kwargs)
+
+        monkeypatch.setattr(gw, "solve_gw", flaky)
+        sol = solve_gw_multi_init(prob, MultiInitConfig(trials=3, seed=SeedPolicy(2)))
+        assert sol.failed_trials == ((2, "NoConvergence"),)
+        assert len(solved) == 4 and sol.trial_of_origin != 2
+
     def test_non_library_error_in_a_trial_propagates(self, monkeypatch):
         rng = np.random.default_rng(87)
         prob = GwProblem(random_space(rng, 4), random_space(rng, 4))

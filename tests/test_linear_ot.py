@@ -312,6 +312,18 @@ def test_installed_highs_accepts_every_option_linear_ot_sets():
     } <= set(options)
 
 
+def test_lp_stopped_short_raises_no_convergence(monkeypatch):
+    # with no simplex iterations allowed HiGHS stops on the north-west-corner
+    # basis, which is not optimal for this cost
+    build = linear_ot._highs_model
+    monkeypatch.setattr(
+        linear_ot, "_highs_model",
+        lambda *args, **options: build(*args, **options, simplex_iteration_limit=0),
+    )
+    with pytest.raises(NoConvergence, match="transportation LP failed: Iteration limit"):
+        solve_exact_ot([[4.0, 1.0], [2.0, 3.0]], UNIF2, UNIF2)
+
+
 @pytest.mark.parametrize("option, value", [("bogus_option", 1), ("mip_pool_soft_limit", "ten")])
 def test_highs_model_raises_on_a_refused_option(option, value):
     # HiGHS itself only returns kError and solves without the option
@@ -388,6 +400,16 @@ class TestSinkhorn:
         coupling, _, iters, _ = sinkhorn(c, UNIF2, UNIF2, epsilon=0.01, max_iter=1)
         assert iters == 1
         assert np.allclose(coupling.plan.sum(axis=0), 0.5)
+
+    def test_log_domain_reports_unconverged(self):
+        # max|C|/eps is about 1000, so the log-domain branch runs; two
+        # iterations do not reach MARGINAL_TOL
+        rng = np.random.default_rng(0)
+        c = rng.random((4, 4)) * 10.0
+        h = normalize_masses(rng.random(4) + 0.2)
+        g = normalize_masses(rng.random(4) + 0.2)
+        _, _, iters, converged = sinkhorn(c, h, g, epsilon=0.01, max_iter=2)
+        assert (iters, converged) == (2, False)
 
     def test_epsilon_consistency_on_random_instances(self):
         rng = np.random.default_rng(0)
