@@ -118,6 +118,14 @@ METHODS = {
 }
 
 
+def _finite_number(value) -> bool:
+    """Whether value is a finite real number; a bool is not a number."""
+    return (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+    )
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """A solver selection plus its parameters, as used by the suite runner."""
@@ -134,12 +142,11 @@ class MethodSpec:
         unknown = sorted(set(self.params) - set(method.defaults))
         if unknown:
             raise ValidationError(f"method {self.name!r} takes no parameter {unknown}")
-        bad = {
-            k: v for k, v in self.params.items()
-            if not isinstance(v, numbers.Real) or isinstance(v, bool)
-        }
+        bad = {k: v for k, v in self.params.items() if not _finite_number(v)}
         if bad:
-            raise ValidationError(f"method {self.name!r} parameters must be numbers: {bad}")
+            raise ValidationError(
+                f"method {self.name!r} parameters must be finite numbers: {bad}"
+            )
         p = self.settings
         if method.config:
             method.config(**p)
@@ -274,6 +281,15 @@ def instance_to_json(inst: CqapInstance, test_id: str = "custom", seed: int = 0)
     return json.dumps(doc, indent=2)
 
 
+def _holds_bool(value) -> bool:
+    """Whether a parsed JSON value is, or nests in its lists, a boolean; each
+    list's element types are gathered in one C-level pass."""
+    if type(value) is not list:
+        return type(value) is bool
+    types = set(map(type, value))
+    return bool in types or (list in types and any(map(_holds_bool, value)))
+
+
 def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
     try:
         doc = json.loads(text)
@@ -285,6 +301,10 @@ def instance_from_json(text: str) -> tuple[CqapInstance, str, int]:
     test_id = doc.get("test_id", "custom")
     if type(test_id) is not str:
         raise ValidationError(f"test_id must be a string, got {test_id!r}")
+    for name, value in doc.items():
+        # numpy reads a list that mixes true with numbers as numbers
+        if _holds_bool(value):
+            raise ValidationError(f"{name} holds a boolean, not a number")
     try:
         seed = doc.get("seed", 0)
         check_count("seed", seed, 0)
@@ -482,6 +502,11 @@ def parse_reports(data: bytes) -> list[SolveReport]:
             value = getattr(report, name)
             if type(value) not in types:
                 raise ValidationError(f"report field {name} has the wrong type: {value!r}")
+            if float in types and value is not None and not _finite_number(value):
+                raise ValidationError(f"report field {name} is not finite: {value!r}")
+        bad = {k: v for k, v in report.params.items() if not _finite_number(v)}
+        if bad:
+            raise ValidationError(f"report params must be finite numbers: {bad}")
     return reports
 
 

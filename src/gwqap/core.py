@@ -45,9 +45,14 @@ def check_count(name: str, value, low: int):
         raise ValidationError(f"{name} must be >= {low} and an integer, got {value!r}")
 
 
-def _as_float_array(x, ndim, what):
-    """x as a finite float64 array of ndim dimensions; ``what`` names it in errors."""
-    a = np.asarray(x, dtype=np.float64)
+def _as_float_array(x, ndim, what, kinds="iuf"):
+    """x as a finite float64 array of ndim dimensions; ``what`` names it in
+    errors. Only the numpy dtype kinds in ``kinds`` convert: integers and
+    floats, and bools ("b") where 0/1 is the domain; a string is no number."""
+    a = np.asarray(x)
+    if a.dtype.kind not in kinds:
+        raise ValidationError(f"{what} must hold numbers, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     if a.ndim != ndim:
         raise DimensionMismatch(f"{what} must be {ndim}-d, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -92,10 +92,10 @@ class CqapInstance:
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    x: np.ndarray  # n x m binary array-like, stored as int64
+    x: np.ndarray  # n x m binary array-like (bools too), stored as int64
 
     def __post_init__(self):
-        x = _as_float_array(self.x, 2, "assignment")
+        x = _as_float_array(self.x, 2, "assignment", kinds="biuf")
         if not ((x == 0) | (x == 1)).all():
             raise ValidationError("assignment entries must be 0/1")
         object.__setattr__(self, "x", x.astype(np.int64))
@@ -235,7 +235,8 @@ def _descend(inst: CqapInstance, x: np.ndarray) -> np.ndarray:
     load = x @ d
     diag_f = np.diag(F)
     diag_d = np.diag(D)
-    scale = max(1.0, abs(cqap_objective(inst, AssignmentMatrix(x))))
+    # the objective of x, from the G = F x D already at hand
+    scale = max(1.0, abs((x * G).sum() + (C * x).sum()))
     while True:
         # moves: column j becomes e_k; delta = 2 e^T G[:, j] + D_jj e^T F e
         # + e^T C[:, j] with e = e_k - x[:, j]

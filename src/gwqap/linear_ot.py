@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linear_sum_assignment
 # the HiGHS bindings scipy ships (a private module, with _core from scipy 1.15)
 from scipy.optimize._highspy import _core as _highs
@@ -83,7 +82,7 @@ class TransportLp:
         self._index = np.arange(size, dtype=np.int32)
         b = np.concatenate([h.weights, g.weights])
         self._model = _highs_model(
-            _transport_constraints(h.n, g.n),
+            (*_transport_pattern(h.n, g.n), np.ones(2 * size)),
             np.zeros(size),
             np.full(size, np.inf),
             b,
@@ -143,53 +142,48 @@ def _north_west_basis(h, g):
 
 
 def _transport_pattern(n, m):
-    """CSC (indices, indptr) of the transportation LP's n + m marginal rows:
-    column i*m + j has its two entries in rows i and n + j."""
+    """CSC (starts, indices) of the transportation LP's n + m marginal rows,
+    the first two arrays of HiGHS's (starts, indices, values) layout: column
+    i*m + j has its two entries in rows i and n + j."""
     rows = np.empty((n * m, 2), dtype=np.int32)
     rows[:, 0] = np.repeat(np.arange(n), m)
     rows[:, 1] = n + np.tile(np.arange(m), n)
-    return rows.ravel(), np.arange(0, 2 * n * m + 1, 2, dtype=np.int32)
-
-
-def _transport_constraints(n, m):
-    return sparse.csc_matrix(
-        (np.ones(2 * n * m), *_transport_pattern(n, m)), shape=(n + m, n * m)
-    )
+    return np.arange(0, 2 * n * m + 1, 2, dtype=np.int32), rows.ravel()
 
 
 def _capacity_constraints(u, d):
-    """CSC rows [capacity; coverage] over columns [x (n*m); z (m)].
+    """CSC (starts, indices, values) of the rows [capacity; coverage] over
+    the columns [x (n*m); z (m)].
 
     Column i*m + j has the transportation LP's pattern (rows i and n + j)
     with values d_j and u_i; column n*m + j holds d_j in row n + j.
     """
     n, m = u.size, d.size
-    indices, indptr = _transport_pattern(n, m)
+    starts, indices = _transport_pattern(n, m)
     values = np.column_stack([np.tile(d, n), np.repeat(u, m)]).ravel()
     z = np.arange(m, dtype=np.int32)
-    return sparse.csc_matrix(
-        (np.concatenate([values, d]), np.concatenate([indices, n + z]),
-         np.concatenate([indptr, indptr[-1] + 1 + z])),
-        shape=(n + m, n * m + m),
+    return (
+        np.concatenate([starts, starts[-1] + 1 + z]),
+        np.concatenate([indices, n + z]),
+        np.concatenate([values, d]),
     )
 
 
 def _highs_model(A, cost, upper, row_lower, row_upper, integer=False, **options):
     """HiGHS model of min cost @ x s.t. row_lower <= A x <= row_upper,
-    0 <= x <= upper (x integer if asked); A is CSC."""
+    0 <= x <= upper (x integer if asked); A is the CSC (starts, indices,
+    values) of the constraint matrix, one row per row bound."""
     size = cost.size
     lp = _highs.HighsLp()
     lp.num_col_ = size
-    lp.num_row_ = A.shape[0]
+    lp.num_row_ = row_lower.size
     lp.col_cost_ = cost
     lp.col_lower_ = np.zeros(size)
     lp.col_upper_ = upper
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = A.indptr
-    lp.a_matrix_.index_ = A.indices
-    lp.a_matrix_.value_ = A.data
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A
     if integer:
         lp.integrality_ = [_highs.HighsVarType.kInteger] * size
     model = _highs._Highs()

@@ -106,6 +106,9 @@ class TestInstanceJson:
             ("capacity", [2, float("nan"), 1], "capacity"),
             ("demand", [1, 1.5, 1], "demand"),
             ("capacity", 3, "capacity"),
+            ("capacity", ["1", "2", "3"], "capacity"),
+            ("capacity", [True, True, True], "capacity"),
+            ("demand", [1, True, 1], "demand"),
         ],
     )
     def test_non_integer_fields_rejected(self, field, value, match):
@@ -133,14 +136,33 @@ class TestInstanceJson:
             ("task_pos", [[1.0, 2.0, 3.0]] * 3, DimensionMismatch),
             ("agent_pos", [[float("nan")] * 2] * 3, NonFinite),
             ("task_pos", [[0.0, float("inf")]] * 3, NonFinite),
+            ("agent_pos", [["1", "2"]] * 3, ValidationError),
         ],
     )
     def test_mistyped_id_and_positions_rejected(self, field, value, error):
         inst = generate_instance(InstanceSpec.named("S1", SeedPolicy(0)))
         doc = json.loads(instance_to_json(inst, test_id="S1", seed=0))
         doc[field] = value
-        with pytest.raises(error, match="test_id" if field == "test_id" else "position"):
+        with pytest.raises(error, match="test_id" if field == "test_id" else "position") as caught:
             instance_from_json(json.dumps(doc))
+        assert caught.type is error
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("task_pos", [[True, 0.5]] * 3),
+            ("agent_pos", [[1, True]] * 3),
+            ("flow", [[0, True, 1], [True, 0, 1], [1, 1, 0]]),
+        ],
+    )
+    def test_booleans_rejected(self, field, value):
+        # numpy reads [1, true] as int64, so the check is on the parsed JSON
+        inst = generate_instance(InstanceSpec.named("S1", SeedPolicy(0)))
+        doc = json.loads(instance_to_json(inst, test_id="S1", seed=0))
+        doc[field] = value
+        with pytest.raises(ValidationError, match=f"{field} holds a boolean") as caught:
+            instance_from_json(json.dumps(doc))
+        assert caught.type is ValidationError
 
     def test_whole_float_capacities_load_as_integers(self):
         inst = generate_instance(InstanceSpec.named("S1", SeedPolicy(0)))
@@ -339,6 +361,8 @@ class TestMethodSpec:
             ("ga", {"population": True}),
             ("egw", {"epsilon": True}),
             ("fgw", {"alpha": False}),
+            # an infinite epsilon ran EGW to the product coupling
+            ("egw", {"epsilon": float("inf")}),
         ):
             with pytest.raises(ValidationError):
                 MethodSpec(name, params)
@@ -499,6 +523,9 @@ class TestEmitReport:
         ("instance_id", 5), ("objective_relaxed", "a"), ("feasible", "yes"),
         ("runtime_s", "slow"), ("iterations", 1.5), ("seed", "s"),
         ("iterations", True), ("objective_binary", False), ("params", []),
+        ("runtime_s", float("nan")), ("objective_binary", float("inf")),
+        ("gap_pct", float("-inf")), ("params", {"trials": "x"}),
+        ("params", {"epsilon": float("inf")}),
     ])
     def test_parse_reports_rejects_mistyped_values(self, field, value):
         row = json.loads(emit_report([self._report()], "json"))

@@ -309,7 +309,10 @@ def test_sweep_on_generated_file_matches_library(tmp_path):
 def test_solve_bad_param_value_exit_code(tmp_path):
     path = tmp_path / "hand.json"
     path.write_text(instance_to_json(_hand_made_3x3()))
-    for flags in (["--method", "ga", "--ga-pop", "1"], ["--method", "egw", "--epsilon", "0"]):
+    for flags in (
+        ["--method", "ga", "--ga-pop", "1"], ["--method", "egw", "--epsilon", "0"],
+        ["--method", "egw", "--epsilon", "inf"],
+    ):
         result = CliRunner().invoke(
             main, ["solve", "--inst", str(path), *flags, "--out", str(tmp_path / "r.json")]
         )
@@ -430,19 +433,28 @@ def test_sweep_rejects_seed(tmp_path):
     assert "--seed" in result.output
 
 
+# each way a file is tampered with: the field, its new value from the old,
+# and a word of the error it must give
+_TAMPERINGS = {
+    "asymmetric": ("flow", lambda f: [[*f[0][:2], f[0][2] + 1.0], *f[1:]], "symmetric"),
+    "negative": ("distance", lambda d: (np.asarray(d) - 3.0).tolist(), "negative"),
+    "string-capacity": ("capacity", lambda u: ["1", "2", "3"], "numbers"),
+    "bool-capacity": ("capacity", lambda u: [True, True, True], "boolean"),
+    "bool-flow": ("flow", lambda f: [[f[0][0], True, f[0][2]], [True, *f[1][1:]], f[2]], "boolean"),
+}
+
+
 def _tampered_file(tmp_path, kind):
-    """The hand-made instance with an asymmetric flow or a negative distance."""
+    """The hand-made instance with one field changed as ``_TAMPERINGS`` says."""
     doc = json.loads(instance_to_json(_hand_made_3x3()))
-    if kind == "asymmetric":
-        doc["flow"][0][2] += 1.0
-    else:
-        doc["distance"] = (np.asarray(doc["distance"]) - 3.0).tolist()
+    field, change, _ = _TAMPERINGS[kind]
+    doc[field] = change(doc[field])
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(doc))
     return path
 
 
-@pytest.mark.parametrize("kind", ["asymmetric", "negative"])
+@pytest.mark.parametrize("kind", list(_TAMPERINGS))
 @pytest.mark.parametrize("command", ["solve", "oracle", "sweep"])
 def test_invalid_structure_file_exit_code(tmp_path, kind, command):
     path = str(_tampered_file(tmp_path, kind))
@@ -454,7 +466,7 @@ def test_invalid_structure_file_exit_code(tmp_path, kind, command):
     }[command]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
-    assert ("symmetric" if kind == "asymmetric" else "negative") in result.output
+    assert _TAMPERINGS[kind][2] in result.output
 
 
 def test_oracle_runs_above_25_agents(tmp_path):

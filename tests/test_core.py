@@ -44,6 +44,7 @@ from tests.test_cqap import make_instance
 NAN = float("nan")
 INF = float("inf")
 UNIF2 = Histogram(np.array([0.5, 0.5]))
+UNIF3 = normalize_masses([1.0, 1.0, 1.0])
 LINE2 = MmSpace(SymCostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])), UNIF2)
 
 
@@ -109,6 +110,11 @@ def _nan_epsilon():
          DimensionMismatch),
         (lambda: round_coupling(make_instance([1, 1], [1, 1]),
                                 product_coupling(Histogram([1.0]), UNIF2)), DimensionMismatch),
+        (lambda: gw_loss(GwProblem(LINE2, LINE2), product_coupling(UNIF3, UNIF3)),
+         DimensionMismatch),
+        (lambda: sinkhorn_project([[0.0, 1.0], [1.0, 1.0]], UNIF2, UNIF2), ValidationError),
+        (lambda: Histogram(["0.5", "0.5"]), ValidationError),
+        (lambda: solve_lap([[True, False], [False, True]]), ValidationError),
     ],
     ids=[
         "asymmetric-structure", "non-square-structure", "nan-structure",
@@ -122,7 +128,8 @@ def _nan_epsilon():
         "feature-cost-shape", "nan-loss-plan", "nan-gradient-plan", "init-shape",
         "flow-size", "linear-cost-shape", "capacity-below-one", "non-binary-assignment",
         "nan-assignment", "1-d-assignment", "objective-assignment-shape",
-        "feasibility-assignment-shape", "rounded-coupling-shape",
+        "feasibility-assignment-shape", "rounded-coupling-shape", "gw-coupling-shape",
+        "zero-projection-input", "string-weights", "bool-lap-cost",
     ],
 )
 def test_each_type_rejects_bad_data(build, error):
@@ -132,8 +139,9 @@ def test_each_type_rejects_bad_data(build, error):
     ``sinkhorn_project`` their input, ``gw_loss`` and ``gw_gradient`` their
     plan, and the CQAP functions the instance's shape. So nothing reaches a
     solver unchecked: a NaN coupling cannot be built, so no solver or
-    rounding sees one. Each case raises exactly the class named: non-finite
-    data NonFinite, a wrong shape DimensionMismatch, both ValidationErrors."""
+    rounding sees one. An array of strings or bools is no array of numbers.
+    Each case raises exactly the class named: non-finite data NonFinite, a
+    wrong shape DimensionMismatch, both ValidationErrors."""
     with pytest.raises(ValidationError) as caught:
         build()
     assert caught.type is error
