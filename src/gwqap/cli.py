@@ -177,8 +177,8 @@ def _grid_value(text):
 @click.option("--inst", "inst_path", type=click.Path(exists=True), required=True)
 @click.option(
     "--node-cap", type=int, default=ORACLE_NODE_CAP,
-    help="Nodes searched before giving up (default 10^8). At about 10-15 us a "
-    "node, an M-size instance the search does not prove runs some 15-25 "
+    help="Nodes searched before giving up (default 10^8). At about 10-16 us a "
+    "node, an M-size instance the search does not prove runs some 17-27 "
     "minutes before the unproven answer.",
 )
 def oracle(inst_path, node_cap):

@@ -30,8 +30,8 @@ from .errors import (
 from .gw import FgwProblem, GwProblem
 from .linear_ot import nearest_capacity_assignment
 
-# nodes the exact oracle searches before it gives up; at about 10-15 us a
-# node, an M-size instance it does not prove takes some 15-25 minutes
+# nodes the exact oracle searches before it gives up; at about 10-16 us a
+# node, an M-size instance it does not prove takes some 17-27 minutes
 ORACLE_NODE_CAP = 100_000_000
 
 
@@ -57,9 +57,16 @@ class CqapInstance:
 
     def __post_init__(self):
         for name in ("capacity", "demand"):
-            a = _as_float_array(getattr(self, name), 1, name)
+            given = np.asarray(getattr(self, name))
+            a = _as_float_array(given, 1, name)
+            # checked as given and before the int64 cast: float64 rounds
+            # whole numbers above 2**53, and the cast overflows past 2**63
+            if np.any(given > 2**53):
+                raise ValidationError(f"{name} must be <= 2**53, got {given.max()}")
             if not (a == np.trunc(a)).all():
                 raise ValidationError(f"{name} must be whole numbers")
+            if np.any(a < 1):
+                raise ValidationError("capacities and demands must be >= 1")
             object.__setattr__(self, name, a.astype(np.int64))
         n, m = self.n, self.m
         C = _as_matrix(self.linear_cost, (n, m), "linear cost")
@@ -74,8 +81,6 @@ class CqapInstance:
                 raise NegativeWeight(f"{name} has a negative entry")
         if self.flow.n != n or self.distance.n != m:
             raise DimensionMismatch("flow/distance sizes disagree with u/d")
-        if np.any(self.capacity < 1) or np.any(self.demand < 1):
-            raise ValidationError("capacities and demands must be >= 1")
         P, Q = self.agent_pos, self.task_pos
         if P.shape[0] != n or Q.shape != (m, P.shape[1]):
             raise DimensionMismatch(
@@ -298,6 +303,15 @@ def _reassign(x, G, load, F, D, d, j, k):
     G += np.outer(F @ e, D[j, :])
 
 
+def placements(inst: CqapInstance, x: np.ndarray, residual: np.ndarray, j: int):
+    """The agents whose residual capacity holds d_j, in index order, and the
+    objective increase of giving task j to each alone in the partial 0/1
+    assignment x: its own cost plus column j of 2 F x D."""
+    agents = np.flatnonzero(residual >= inst.demand[j])
+    F, D = inst.flow.entries, inst.distance.entries
+    return agents, (inst.own_cost[:, j] + 2.0 * (F @ (x @ D[j])))[agents]
+
+
 def solve_exact_enum(
     inst: CqapInstance, node_cap: int = ORACLE_NODE_CAP
 ) -> tuple[AssignmentMatrix, float, bool]:
@@ -306,24 +320,21 @@ def solve_exact_enum(
     A task never needs two agents: the capacity row makes every agent on
     task j hold d_j by itself, and all costs are nonnegative, so dropping
     the extra agents keeps an assignment feasible and never raises its
-    cost. The search gives the tasks, in index order, each to an agent
-    whose residual capacity holds the demand, in index order, and prunes on
-    the partial objective (a lower bound, since every cost term is
+    cost. The search gives the tasks, in index order, each to one of the
+    agents ``placements`` offers, at the cost it prices, and prunes on the
+    partial objective (a lower bound, since every cost term is
     nonnegative; ``CqapInstance`` checks that). Returns (best x, objective,
     proven); proven is False when the node cap interrupted the search.
     Raises Infeasible when no assignment can satisfy the constraints, and
     NoConvergence when the cap stops the search before it finds one.
     """
     check_count("node_cap", node_cap, 1)
-    n, m = inst.n, inst.m
+    m = inst.m
     d = inst.demand
-    F = inst.flow.entries
-    D = inst.distance.entries
     short = np.flatnonzero(d > inst.capacity.max())
     if short.size:
         raise Infeasible(f"no agent can hold the demand of task {short[0]}")
-    own = inst.own_cost  # pairs with earlier tasks are added below
-    agent = np.zeros(m, dtype=np.int64)
+    x = np.zeros((inst.n, m))
     residual = inst.capacity.copy()
     best_val = np.inf
     best = None
@@ -337,16 +348,16 @@ def solve_exact_enum(
             return False
         if j == m:
             if value < best_val:
-                best_val, best = value, agent.copy()
+                best_val, best = value, x.copy()
             return True
-        added = own[:, j] + 2.0 * (F[:, agent[:j]] @ D[j, :j])
-        for i in np.flatnonzero(residual >= d[j]):
-            if value + added[i] >= best_val:
+        for i, cost in zip(*placements(inst, x, residual, j)):
+            if value + cost >= best_val:
                 continue
-            agent[j] = i
+            x[i, j] = 1
             residual[i] -= d[j]
-            searched = dfs(j + 1, value + added[i])
+            searched = dfs(j + 1, value + cost)
             residual[i] += d[j]
+            x[i, j] = 0
             if not searched:
                 return False
         return True
@@ -358,9 +369,7 @@ def solve_exact_enum(
                 "node cap hit before any feasible assignment was found"
             )
         raise Infeasible("no assignment satisfies capacity and demand")
-    x = np.zeros((n, m), dtype=np.int64)
-    x[best, np.arange(m)] = 1
-    result = AssignmentMatrix(x)
+    result = AssignmentMatrix(best)
     # re-evaluate through the canonical objective so the reported value is
     # bitwise comparable with any other evaluation of the same assignment
     return result, cqap_objective(inst, result), proven

@@ -1,9 +1,10 @@
 """Genetic-algorithm baseline for CQAP.
 
 Chromosomes are task priority permutations; a greedy decoder assigns each
-task in priority order to the feasible facility with the smallest marginal
-objective increase, so capacity feasibility holds by construction. Tasks
-that fit nowhere stay unassigned and are penalized in the fitness.
+task in priority order to the feasible agent with the smallest objective
+increase, priced by ``cqap.placements`` as in the exact oracle, so capacity
+feasibility holds by construction. Tasks that fit nowhere stay unassigned
+and are penalized in the fitness.
 
 `solve_ga` decodes and scores each distinct priority once per run (and
 decodes the winner once more to return it), so its cost grows with the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import SeedPolicy, check_count
-from .cqap import AssignmentMatrix, CqapInstance, cqap_objective
+from .cqap import AssignmentMatrix, CqapInstance, cqap_objective, placements
 
 UNASSIGNED_PENALTY = 1e6
 CROSSOVER_RATE = 0.9
@@ -45,21 +46,15 @@ class GaConfig:
 
 
 def decode(inst: CqapInstance, priority) -> AssignmentMatrix:
-    """Greedy capacity-feasible decoding of a priority permutation (a
-    sequence of task indices)."""
-    F = inst.flow.entries
-    D = inst.distance.entries
-    own = inst.own_cost
+    """Greedy capacity-feasible decoding of a priority permutation (task
+    indices): each task goes to the agent ``cqap.placements`` prices lowest."""
     x = np.zeros((inst.n, inst.m))
     residual = inst.capacity.copy()
     for j in priority:
-        feasible = np.flatnonzero(residual >= inst.demand[j])
-        if feasible.size == 0:
+        agents, costs = placements(inst, x, residual, j)
+        if agents.size == 0:
             continue
-        # objective increase of setting x[i, j] = 1: task j's own cost plus
-        # column j of the interaction F x D^T with the tasks placed so far
-        delta = own[:, j][feasible] + 2.0 * (F @ (x @ D[j]))[feasible]
-        i = feasible[np.argmin(delta)]
+        i = agents[np.argmin(costs)]
         x[i, j] = 1
         residual[i] -= inst.demand[j]
     return AssignmentMatrix(x)

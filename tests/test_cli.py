@@ -441,6 +441,8 @@ _TAMPERINGS = {
     "string-capacity": ("capacity", lambda u: ["1", "2", "3"], "numbers"),
     "bool-capacity": ("capacity", lambda u: [True, True, True], "boolean"),
     "bool-flow": ("flow", lambda f: [[f[0][0], True, f[0][2]], [True, *f[1][1:]], f[2]], "boolean"),
+    "huge-capacity": ("capacity", lambda u: [2**53 + 1, *u[1:]], "<= 2**53"),
+    "huge-demand": ("demand", lambda d: [1e20, *d[1:]], "<= 2**53"),
 }
 
 

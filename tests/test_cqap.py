@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -412,6 +413,28 @@ class TestInstanceValidation:
         for kw in ({"flow": pair}, {"distance": pair}, {"linear": pair}):
             with pytest.raises(NonFinite, match="non-finite"):
                 make_instance([2, 2, 2], [1, 1, 1], **kw)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [2**53 + 1, 2**63 - 1, 2**63, 1e20])
+    @pytest.mark.parametrize("field", ["capacity", "demand"])
+    def test_values_above_2_53_rejected(self, field, big):
+        # float64 rounds 2**53 + 1 to 2**53, and an int64 cast of the larger
+        # ones overflows with a warning; the bound is checked on the values
+        # as given, before either cast
+        inst = make_instance([2, 2], [1, 1])
+        with pytest.raises(ValidationError, match=r"must be <= 2\*\*53"):
+            replace(inst, **{field: [big, 1]})
+
+    @pytest.mark.filterwarnings("error")
+    def test_bound_kept_and_other_extremes_refused(self):
+        inst = make_instance([2, 2], [1, 1])
+        assert replace(inst, capacity=[2**53, 1]).capacity[0] == 2**53
+        # -1e20 fails the >= 1 check before the cast could overflow
+        with pytest.raises(ValidationError, match=">= 1"):
+            replace(inst, demand=[-1e20, 1])
+        # a Python int past uint64 is no numpy number at all
+        with pytest.raises(ValidationError, match="numbers"):
+            replace(inst, capacity=[2**64, 1])
 
 
 class TestGapPercent:

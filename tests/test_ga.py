@@ -14,10 +14,24 @@ from gwqap import (
     solve_ga,
 )
 import gwqap.ga
-from gwqap.cqap import AssignmentMatrix
+from gwqap.cqap import AssignmentMatrix, placements
 from gwqap.errors import ValidationError
 from gwqap.ga import UNASSIGNED_PENALTY, _order_crossover, _swap_mutation
 from tests.test_cqap import make_instance
+
+
+def _diagonal_instances(rng):
+    """Ten random instances at each of four sizes, with nonzero flow and
+    distance diagonals; the caller may draw from rng between them."""
+    for n, m in ((2, 3), (3, 4), (4, 6), (5, 5)):
+        for _ in range(10):
+            flow = rng.uniform(0.0, 5.0, size=(n, n))
+            distance = rng.uniform(0.0, 5.0, size=(m, m))
+            yield make_instance(
+                rng.integers(1, 7, size=n), rng.integers(1, 7, size=m),
+                flow=flow + flow.T, distance=distance + distance.T,
+                linear=rng.uniform(0.0, 5.0, size=(n, m)),
+            )
 
 
 class TestDecode:
@@ -99,18 +113,34 @@ class TestDecode:
             return x
 
         rng = np.random.default_rng(12)
-        for n, m in ((2, 3), (3, 4), (4, 6), (5, 5)):
-            for _ in range(10):
-                flow = rng.uniform(0.0, 5.0, size=(n, n))
-                distance = rng.uniform(0.0, 5.0, size=(m, m))
-                inst = make_instance(
-                    rng.integers(1, 7, size=n), rng.integers(1, 7, size=m),
-                    flow=flow + flow.T, distance=distance + distance.T,
-                    linear=rng.uniform(0.0, 5.0, size=(n, m)),
-                )
-                priority = rng.permutation(m)
-                got = decode(inst, priority).x
-                assert np.array_equal(got, reference(inst, priority))
+        for inst in _diagonal_instances(rng):
+            priority = rng.permutation(inst.m)
+            got = decode(inst, priority).x
+            assert np.array_equal(got, reference(inst, priority))
+
+    def test_placements_price_the_objective_increase(self):
+        # random partial assignments and residuals on the same instances:
+        # the step offers exactly the agents whose residual holds d_j, at
+        # what cqap_objective says the placement adds
+        rng = np.random.default_rng(13)
+        for inst in _diagonal_instances(rng):
+            n, m = inst.n, inst.m
+            placed = rng.random(m) < 0.5
+            x = np.zeros((n, m))
+            x[rng.integers(0, n, size=m)[placed], np.flatnonzero(placed)] = 1
+            residual = rng.integers(0, 7, size=n)
+            base = cqap_objective(inst, AssignmentMatrix(x))
+            for j in np.flatnonzero(~placed):
+                agents, costs = placements(inst, x, residual, j)
+                assert np.array_equal(agents, np.flatnonzero(residual >= inst.demand[j]))
+                assert costs.shape == agents.shape
+                for i, cost in zip(agents, costs):
+                    y = x.copy()
+                    y[i, j] = 1
+                    increase = cqap_objective(inst, AssignmentMatrix(y)) - base
+                    assert cost == pytest.approx(increase, rel=1e-12, abs=0.0)
+            agents, costs = placements(inst, x, np.zeros(n, dtype=np.int64), 0)
+            assert agents.shape == costs.shape == (0,)
 
     def test_own_cost_computed_once(self):
         inst = make_instance(
