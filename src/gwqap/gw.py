@@ -153,15 +153,16 @@ def _check_plan(problem: GwProblem, plan) -> np.ndarray:
 
 
 def _cross_term(problem: GwProblem, X):
-    # E(X)[i,k] = sum_{j,l} loss(C1[i,j], C2[k,l]) X[j,l]
+    # E(X)[i,k] = sum_{j,l} loss(C1[i,j], C2[k,l]) X[j,l], for a plan X
+    # (n, m) or for each slice of a stack of plans (T, n, m)
     C1 = problem.source.structure.entries
     C2 = problem.target.structure.entries
     if problem.loss == "product":
         return C1 @ X @ C2.T
     C1_sq, C2_sq = problem._squared_structures
-    rX = X.sum(axis=1)
-    cX = X.sum(axis=0)
-    return C1_sq @ rX[:, None] + (cX @ C2_sq.T)[None, :] - 2.0 * C1 @ X @ C2.T
+    rX = X.sum(axis=-1)
+    cX = X.sum(axis=-2)
+    return C1_sq @ rX[..., None] + cX[..., None, :] @ C2_sq.T - 2.0 * C1 @ X @ C2.T
 
 
 def gw_loss(problem: GwProblem, plan) -> float:
@@ -189,20 +190,37 @@ def _check_init(problem: GwProblem, init: Coupling | None) -> Coupling:
     return init
 
 
+def _sums(X):
+    """The sum of each slice of the stack X (T, n, m), each in the order of
+    one (n, m) matrix's ``sum()``."""
+    return X.reshape(len(X), X.shape[1] * X.shape[2]).sum(axis=1)
+
+
 def _fw_solve(
     problem: GwProblem,
     linear_cost: np.ndarray,
     alpha: float,
-    init: Coupling | None,
+    inits: list[Coupling],
     model: TransportLp | None = None,
-) -> GwSolution:
-    """Conditional gradient on alpha*(GW + concavity term) + (1-alpha)*<M, pi>.
+) -> list[GwSolution | GwqapError]:
+    """Conditional gradient on alpha*(GW + concavity term) + (1-alpha)*<M, pi>
+    from each of the checked couplings ``inits``, all starts in lockstep.
 
-    Starts from ``init`` (checked) or the default init. Each iteration
-    linearizes at the current plan, finds the optimal polytope vertex by
-    exact OT, and takes the closed-form quadratic line-search step clamped
-    to [0, 1]. ``model``, a ``TransportLp`` for the problem's marginals, is
-    reset and re-used; without one a fresh model is built.
+    The starts' plans form a stack (T, n, m). Each round linearizes every
+    active start at its plan, finds its optimal polytope vertex by exact OT
+    (one LP per start, each start on its own ``branch`` of ``model``, a
+    ``TransportLp`` for the problem's marginals, or of a fresh one), and
+    takes the closed-form quadratic line-search step clamped to [0, 1]. The
+    cross terms, gradients and the sums behind the line searches and
+    objectives are array operations over the active starts, every per-start
+    sum taken by ``_sums``; each start's step and objective are then
+    combined from its sums in Python floats. A start leaves the stack at the
+    step that converges it, so each start's solution is bitwise what a stack
+    of that start alone gives.
+
+    Returns, per start, its GwSolution or the library error its LP raised
+    (a non-finite gradient among them); a failing start leaves the stack
+    and the others go on. Any other exception propagates.
 
     The objective, its gradient and the line search always evaluate the
     concavity and fused terms: they add exact zeros at concavity 0 and at
@@ -213,48 +231,77 @@ def _fw_solve(
     of the line search and, with E updated along the step, the GW loss
     <E, pi>.
     """
-    init = _check_init(problem, init)
     h, g = problem.source.mass, problem.target.mass
     M, mu, G = linear_cost, problem.concavity, g.weights[None, :]
 
-    def objective(p, E):
-        gw_part = alpha * float((E * p).sum()) + alpha * mu * float((p * (G - p)).sum())
-        return gw_part + (1.0 - alpha) * float((M * p).sum())
+    def objectives(P, E):
+        # each start's objective, in Python floats from its three sums
+        sums = zip(_sums(E * P).tolist(), _sums(P * (G - P)).tolist(), _sums(M * P).tolist())
+        return [alpha * ep + alpha * mu * cp + (1.0 - alpha) * mp for ep, cp, mp in sums]
 
-    if model is None:
-        model = TransportLp(h, g)
-    else:
-        model.reset()
-    pi = init.plan.copy()
+    def solution(k, converged, iterations):
+        return GwSolution(
+            # a copy: a view would keep the whole stack alive
+            coupling=Coupling(pi[k].copy(), h, g),
+            objective=histories[active[k]][-1],
+            converged=converged,
+            iterations=iterations,
+            objective_history=tuple(histories[active[k]]),
+        )
+
+    model = model or TransportLp(h, g)
+    starts = [model.branch() for _ in inits]
+    results: list = [None] * len(inits)
+    # the stack holds the active starts; active[k] is slice k's start
+    active = list(range(len(inits)))
+    pi = np.array([init.plan for init in inits]).reshape(len(inits), *problem.shape)
     E = _cross_term(problem, pi)
-    history = [objective(pi, E)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, FW_MAX_ITER + 1):
+    histories = [[value] for value in objectives(pi, E)]
+    for iteration in range(1, FW_MAX_ITER + 1):
+        if not active:
+            break
         gw_grad = 2.0 * E + mu * (G - 2.0 * pi)
         grad = alpha * gw_grad + (1.0 - alpha) * M
-        vertex, _ = solve_exact_ot(grad, h, g, model=model)
-        delta = vertex.plan - pi
-        dE = _cross_term(problem, vertex.plan) - E
-        # 1-D restriction: a t^2 + b t
-        a = alpha * float((dE * delta).sum()) - alpha * mu * float((delta * delta).sum())
-        b = alpha * float((gw_grad * delta).sum()) + (1.0 - alpha) * float((M * delta).sum())
-        t = min(1.0, max(0.0, -b / (2.0 * a))) if a > 0 else float(b <= 0)
+        vertex = np.empty_like(pi)
+        keep = []
+        for k, start in enumerate(active):
+            try:
+                vertex[k] = solve_exact_ot(grad[k], h, g, model=starts[start])[0].plan
+                keep.append(k)
+            except GwqapError as exc:
+                results[start] = exc
+        if len(keep) < len(active):
+            active = [active[k] for k in keep]
+            pi, E, gw_grad, vertex = pi[keep], E[keep], gw_grad[keep], vertex[keep]
+        delta = vertex - pi
+        dE = _cross_term(problem, vertex) - E
+        steps = []
+        for ed, dd, gd, md in zip(
+            _sums(dE * delta).tolist(), _sums(delta * delta).tolist(),
+            _sums(gw_grad * delta).tolist(), _sums(M * delta).tolist(),
+        ):
+            # the start's 1-D restriction: a t^2 + b t
+            a = alpha * ed - alpha * mu * dd
+            b = alpha * gd + (1.0 - alpha) * md
+            steps.append(min(1.0, max(0.0, -b / (2.0 * a))) if a > 0 else float(b <= 0))
+        t = np.array(steps)[:, None, None]
         pi = pi + t * delta
         E = E + t * dE
-        f_new = objective(pi, E)
-        history.append(f_new)
-        f_prev = history[-2]
-        if abs(f_prev - f_new) / max(abs(f_prev), 1.0) < FW_TOL:
-            converged = True
-            break
-    return GwSolution(
-        coupling=Coupling(pi, h, g),
-        objective=history[-1],
-        converged=converged,
-        iterations=iterations,
-        objective_history=tuple(history),
-    )
+        keep = []
+        for k, f_new in enumerate(objectives(pi, E)):
+            history = histories[active[k]]
+            f_prev = history[-1]
+            history.append(f_new)
+            if abs(f_prev - f_new) / max(abs(f_prev), 1.0) < FW_TOL:
+                results[active[k]] = solution(k, True, iteration)
+            else:
+                keep.append(k)
+        if len(keep) < len(active):
+            active = [active[k] for k in keep]
+            pi, E = pi[keep], E[keep]
+    for k, start in enumerate(active):
+        results[start] = solution(k, False, FW_MAX_ITER)
+    return results
 
 
 def solve_gw(
@@ -267,16 +314,26 @@ def solve_gw(
 
     The objective is gw_loss plus the problem's concavity term. The default
     initialization is the product coupling of the marginals. A
-    ``TransportLp`` of the problem's marginals passed as ``model`` is reset
-    and re-used for the exact-OT steps; without it the result has the same
-    support and agrees to rounding (see ``TransportLp``).
+    ``TransportLp`` of the problem's marginals passed as ``model`` lends its
+    HiGHS model to the exact-OT steps, which start from the
+    north-west-corner basis either way, so the result is bitwise the same
+    with or without it. It runs ``_fw_solve`` on a one-start stack.
     """
-    return _fw_solve(problem, np.zeros(problem.shape), 1.0, init, model)
+    return _solve_one(problem, np.zeros(problem.shape), 1.0, init, model)
 
 
 def solve_fgw(problem: FgwProblem, init: Coupling | None = None) -> GwSolution:
     """Fused GW: conditional gradient on the alpha-blended objective."""
-    return _fw_solve(problem.gw, problem.feature_cost, problem.alpha, init)
+    return _solve_one(problem.gw, problem.feature_cost, problem.alpha, init, None)
+
+
+def _solve_one(problem, linear_cost, alpha, init, model) -> GwSolution:
+    """``_fw_solve`` from ``init`` (checked) or the default init alone; its
+    solution, or the library error it failed with raised."""
+    (sol,) = _fw_solve(problem, linear_cost, alpha, [_check_init(problem, init)], model)
+    if isinstance(sol, GwqapError):
+        raise sol
+    return sol
 
 
 def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSolution:
@@ -286,15 +343,18 @@ def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSoluti
     RNG stream. All T draws are projected onto the coupling polytope by one
     stacked ``sinkhorn_project`` call (alternating rescaling to
     PROJECTION_DELTA, each start stopping at its own sweep, so each start is
-    bitwise what projecting it alone gives). Each start is then solved in
-    turn, and the lowest-objective solution wins; only an exactly equal
-    objective goes to the earlier trial (default init first). Starts that
-    reach the same coupling can differ in the last bits of their objective,
-    and then the lower value wins, not the earlier start. If the stacked
-    projection raises a library error, each start is projected alone. A
-    trial whose projection or solve raises a library error is skipped and
-    listed in ``failed_trials``; any other exception propagates. All starts
-    share one transport model.
+    bitwise what projecting it alone gives); if it raises a library error,
+    each start is projected alone. The default init is solved by
+    ``solve_gw``, then all random starts by one lockstep ``_fw_solve``, all
+    on one HiGHS model, each start from its own basis: every start's
+    solution is bitwise what ``solve_gw`` gives it alone.
+
+    The lowest-objective solution wins; only an exactly equal objective
+    goes to the earlier trial (default init first). Starts that reach the
+    same coupling can differ in the last bits of their objective, and then
+    the lower value wins, not the earlier start. A trial whose projection,
+    init check or Frank-Wolfe run raises a library error is skipped and
+    listed in ``failed_trials``; any other exception propagates.
     """
     n, m = problem.shape
     h, g = problem.source.mass, problem.target.mass
@@ -303,21 +363,27 @@ def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSoluti
     for t in trials:
         raw[t - 1] = config.seed.substream(t).generator().uniform(0.0, 1.0, size=(n, m))
     raw += INIT_JITTER
-    inits = _project_starts(raw, h, g)
+    # each trial's checked start, or the library error that stopped it
+    outcome = {}
+    for t, init in zip(trials, _project_starts(raw, h, g)):
+        try:
+            outcome[t] = init if isinstance(init, GwqapError) else _check_init(problem, init)
+        except GwqapError as exc:
+            outcome[t] = exc
+    started = [t for t in trials if isinstance(outcome[t], Coupling)]
 
     model = TransportLp(h, g)
     best = solve_gw(problem, None, model=model)
+    solved = _fw_solve(
+        problem, np.zeros(problem.shape), 1.0, [outcome[t] for t in started], model
+    )
+    outcome.update(zip(started, solved))
     failed = []
-    for t, init in zip(trials, inits):
-        if isinstance(init, GwqapError):
-            failed.append((t, type(init).__name__))
-            continue
-        try:
-            sol = solve_gw(problem, init, model=model)
-        except GwqapError as exc:
-            failed.append((t, type(exc).__name__))
-            continue
-        if sol.objective < best.objective:
+    for t in trials:
+        sol = outcome[t]
+        if isinstance(sol, GwqapError):
+            failed.append((t, type(sol).__name__))
+        elif sol.objective < best.objective:
             best = replace(sol, trial_of_origin=t)
     return replace(best, failed_trials=tuple(failed))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ def solve_exact_ot(
     Solves min <C, T> over the transportation polytope with the given
     marginals and returns a basic optimal solution (at most n+m-1 support
     entries), as required by the conditional-gradient callers. A
-    ``TransportLp`` built for (h, g) and passed as ``model`` is re-solved
-    from its last basis; without one a fresh model solves the LP from the
+    ``TransportLp`` start for (h, g) passed as ``model`` solves the LP from
+    its last basis; without one a fresh model solves it from the
     north-west-corner basis.
     """
     c = _as_matrix(cost, (h.n, g.n), "cost")
@@ -60,20 +61,19 @@ def solve_exact_ot(
 
 
 class TransportLp:
-    """The transportation LP of fixed marginals (h, g) as one HiGHS model.
+    """One start of the transportation LP of fixed marginals (h, g): a
+    HiGHS model, which the starts that ``branch`` makes share, and the
+    start's own simplex basis.
 
-    Each ``solve`` changes only the costs and runs primal simplex from the
-    basis the model stands on: a fresh or reset model stands on the
-    north-west-corner basis, and after a solve on its optimal basis. Both
-    are primal feasible, so a sequence of costs, as Frank-Wolfe produces,
-    needs few pivots per LP. Every answer is a basic optimal plan; a
-    zero-mass atom's row or column sums to zero, so its entries are zero.
-
-    A multi-init builds one model for all of its starts. Each Frank-Wolfe
-    solve calls ``reset`` first, so it starts from the basis a fresh model
-    starts from. HiGHS keeps its other solver data across the reset, so on
-    M-size LPs a plan can differ from a fresh model's in the last bits
-    (by a few 1e-16 per entry) on the same support.
+    Each ``solve`` clears the model's solver data, sets the start's basis,
+    changes the costs and runs primal simplex; it then keeps the optimal
+    basis for the start's next solve. A new start stands on the
+    north-west-corner basis. Both are primal feasible, so a sequence of
+    costs, as Frank-Wolfe produces, needs few pivots per LP. A plan depends
+    only on the cost and the start's basis, so starts interleaved on one
+    model get bitwise the plans each gets alone on a fresh model. Every
+    answer is a basic optimal plan; a zero-mass atom's row or column sums to
+    zero, so its entries are zero.
     """
 
     def __init__(self, h: Histogram, g: Histogram):
@@ -90,17 +90,20 @@ class TransportLp:
             solver="simplex",
             simplex_strategy=4,  # primal simplex
         )
-        self._start = _north_west_basis(h.weights, g.weights)
-        self.reset()
+        self._start = self._basis = _north_west_basis(h.weights, g.weights)
 
-    def reset(self):
-        """Put back the north-west-corner basis, so the next solve starts
-        from it as a fresh model's does."""
-        self._model.setBasis(self._start)
+    def branch(self) -> "TransportLp":
+        """A new start on the same model, at the north-west-corner basis."""
+        start = copy.copy(self)
+        start._basis = self._start
+        return start
 
     def solve(self, cost: np.ndarray) -> np.ndarray:
+        self._model.clearSolver()
+        self._model.setBasis(self._basis)
         self._model.changeColsCost(self._index.size, self._index, cost.ravel())
         plan = _highs_solution(self._model, "transportation LP").reshape(self.shape)
+        self._basis = self._model.getBasis()
         np.clip(plan, 0.0, None, out=plan)
         return plan
 

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gwqap.core import MARGINAL_TOL
 from gwqap.cqap import to_gw_problem
 from gwqap.gw import FgwProblem, GwProblem, MultiInitConfig
 from gwqap.errors import (
-    AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence, ValidationError
+    AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence, NonFinite, ValidationError
 )
 
 
@@ -71,6 +72,27 @@ def concave_product_problem(rng, n, m):
     rho = lambda a: np.abs(np.linalg.eigvalsh(a)).max()  # noqa: E731
     mu = rho(src.structure.entries) * rho(tgt.structure.entries)
     return GwProblem(src, tgt, loss="product", concavity=mu)
+
+
+def record_fw(monkeypatch):
+    """Patch ``gw._fw_solve`` to record each call's (init, result) pairs,
+    one list per call, in the returned list."""
+    fw_solve, runs = gw._fw_solve, []
+
+    def recorded(problem, linear_cost, alpha, inits, model=None):
+        results = fw_solve(problem, linear_cost, alpha, inits, model)
+        runs.append(list(zip(inits, results)))
+        return results
+
+    monkeypatch.setattr(gw, "_fw_solve", recorded)
+    return runs
+
+
+def assert_same_solution(a, b):
+    assert np.array_equal(a.coupling.plan, b.coupling.plan)
+    assert a.objective.hex() == b.objective.hex()
+    assert a.objective_history == b.objective_history
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
 
 
 class TestGwLoss:
@@ -263,13 +285,14 @@ class TestSolveGw:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     # objective, iterations and plan digest of the square-loss solves below,
-    # recorded with the exact-OT steps run by primal simplex from the
-    # north-west-corner basis
+    # recorded with each exact-OT step run by primal simplex on a cleared
+    # solver, from the north-west-corner basis and then from the last
+    # step's optimal basis
     SQUARE_PINS = {
-        (0, "default"): ("0x1.feeb42efd2fc7p+2", 5, "123271292037e0b2"),
-        (0, "random"): ("0x1.795889a850146p+2", 7, "39b76dcaba18308a"),
-        (1, "default"): ("0x1.b57ec6f0c643cp+2", 5, "d1e7332aee882ad0"),
-        (1, "random"): ("0x1.9cfb73c14e268p+2", 3, "ee5795fb85a9b1b3"),
+        (0, "default"): ("0x1.feeb42efd2fc1p+2", 5, "91639586a7e98cf5"),
+        (0, "random"): ("0x1.795889a850145p+2", 7, "05bb410ae45e2329"),
+        (1, "default"): ("0x1.b57ec6f0c643cp+2", 5, "fee31a1d67bef5d8"),
+        (1, "random"): ("0x1.9cfb73c14e26dp+2", 3, "81e40def7eb31d81"),
     }
 
     @pytest.mark.parametrize("seed", (0, 1))
@@ -369,6 +392,33 @@ class TestSolveGw:
         assert gw_loss(prob_a, plan) == gw_loss(prob_b, plan)
 
 
+@pytest.mark.parametrize("loss", gw.LOSSES)
+@pytest.mark.parametrize("concave", (False, True))
+@pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
+def test_stacked_frank_wolfe_is_bitwise_each_start_alone(loss, concave, alpha):
+    rng = np.random.default_rng(91)
+    src, tgt = random_space(rng, 7), random_space(rng, 6)
+    rho = lambda a: np.abs(np.linalg.eigvalsh(a)).max()  # noqa: E731
+    mu = rho(src.structure.entries) * rho(tgt.structure.entries) if concave else 0.0
+    prob = GwProblem(src, tgt, loss, mu)
+    M = rng.uniform(0, 5, size=prob.shape)
+    inits = [prob.default_init()] + [random_plan(rng, src.mass, tgt.mass) for _ in range(6)]
+    stacked = gw._fw_solve(prob, M, alpha, inits)
+    for init, sol in zip(inits, stacked):
+        assert_same_solution(sol, solve_fgw(FgwProblem(prob, M, alpha), init))
+    iterations = {sol.iterations for sol in stacked}
+    if alpha == 0.0:
+        # a linear objective: one full step to the optimal vertex, then a
+        # step that stays there
+        assert iterations == {2}
+    elif loss == "product" and not concave:
+        # without its concavity term the product loss never settles here
+        assert iterations == {gw.FW_MAX_ITER}
+    else:
+        # the starts leave the stack at different steps
+        assert len(iterations) > 1
+
+
 class TestMultiInit:
     def test_zero_trials_equals_default(self):
         rng = np.random.default_rng(61)
@@ -425,50 +475,52 @@ class TestMultiInit:
         rng = np.random.default_rng(83)
         prob = (concave_product_problem(rng, 6, 5) if concave
                 else GwProblem(random_space(rng, 6), random_space(rng, 5)))
-        built, solves = [], []
-        lp_class, solve = gw.TransportLp, gw.solve_gw
+        built, lps = [], []
+        lp_class, solve_ot = gw.TransportLp, gw.solve_exact_ot
 
         class CountedLp(lp_class):
             def __init__(self, *args):
                 built.append(self)
                 super().__init__(*args)
 
-        def recorded(problem, init=None, *args, **kwargs):
-            sol = solve(problem, init, *args, **kwargs)
-            solves.append((init, kwargs.get("model"), sol))
-            return sol
+        def recorded(cost, h, g, model=None):
+            out = solve_ot(cost, h, g, model=model)
+            lps.append((model, cost, out[0].plan))
+            return out
 
         monkeypatch.setattr(gw, "TransportLp", CountedLp)
-        monkeypatch.setattr(gw, "solve_gw", recorded)
+        monkeypatch.setattr(gw, "solve_exact_ot", recorded)
+        runs = record_fw(monkeypatch)
         gw.solve_gw_multi_init(prob, MultiInitConfig(trials=6, seed=SeedPolicy(4)))
-        assert len(built) == 1 and len(solves) == 7
-        for init, model, sol in solves:
-            assert model is built[0]
-            fresh = solve(prob, init)
-            assert np.array_equal(sol.coupling.plan, fresh.coupling.plan)
-            assert sol.objective == fresh.objective
-            assert sol.iterations == fresh.iterations
+        # the default start alone, then the six random starts in one stack
+        assert len(built) == 1 and [len(run) for run in runs] == [1, 6]
+        # every LP runs on the one HiGHS model, each start on its own branch
+        assert all(model._model is built[0]._model for model, _, _ in lps)
+        by_start = {}
+        for model, cost, plan in lps:
+            by_start.setdefault(model, []).append((cost, plan))
+        assert len(by_start) == 7 and built[0] not in by_start
+        # each start makes bitwise the LPs and the solution of its fresh solve
+        starts = [pair for run in runs for pair in run]
+        for (init, sol), start_lps in zip(starts, by_start.values()):
+            lps.clear()
+            assert_same_solution(sol, gw.solve_gw(prob, init))
+            assert len(lps) == len(start_lps) == sol.iterations
+            for (_, cost, plan), (start_cost, start_plan) in zip(lps, start_lps):
+                assert np.array_equal(cost, start_cost)
+                assert np.array_equal(plan, start_plan)
 
     def test_trials_on_one_model_match_fresh_solves_at_m4_size(self, monkeypatch):
-        # the reset puts back the start basis but not all of HiGHS's solver
-        # data: on this M4 instance some starts end a few ulps away from a
-        # fresh model's plan, always on the same support
         inst = generate_instance(InstanceSpec.named("M4", SeedPolicy(7, 12000)))
         prob = to_gw_problem(inst)
-        solve, solves = gw.solve_gw, []
-
-        def recorded(problem, init=None, **kwargs):
-            sol = solve(problem, init, **kwargs)
-            solves.append((init, sol.coupling.plan))
-            return sol
-
-        monkeypatch.setattr(gw, "solve_gw", recorded)
+        runs = record_fw(monkeypatch)
         gw.solve_gw_multi_init(prob, MultiInitConfig(trials=20, seed=SeedPolicy(7, 11)))
-        assert len(solves) == 21
-        for init, plan in solves:
-            fresh = solve(prob, init).coupling.plan
-            assert np.array_equal(plan > 0, fresh > 0)
-            assert np.allclose(plan, fresh, rtol=0, atol=1e-12)
+        starts = [pair for run in runs for pair in run]
+        assert [len(run) for run in runs] == [1, 20]
+        for init, sol in starts:
+            fresh = gw.solve_gw(prob, init)
+            assert np.array_equal(sol.coupling.plan, fresh.coupling.plan)
+            assert sol.objective == fresh.objective
 
     def test_failed_trial_is_recorded(self, monkeypatch):
         rng = np.random.default_rng(85)
@@ -476,7 +528,7 @@ class TestMultiInit:
         config = MultiInitConfig(trials=4, seed=SeedPolicy(2))
         stalled = config.seed.substream(2).generator().uniform(0, 1, size=prob.shape)
         stalled += gw.INIT_JITTER
-        project, solve, calls, solved = gw.sinkhorn_project, gw.solve_gw, [], []
+        project, calls = gw.sinkhorn_project, []
 
         def flaky(raw, h, g):
             # any projection that holds trial 2's start stalls: the stacked
@@ -487,35 +539,78 @@ class TestMultiInit:
                 raise NoConvergence("projection stalled")
             return project(raw, h, g)
 
-        def recorded(problem, init=None, **kwargs):
-            solved.append(init)
-            return solve(problem, init, **kwargs)
-
         monkeypatch.setattr(gw, "sinkhorn_project", flaky)
-        monkeypatch.setattr(gw, "solve_gw", recorded)
+        runs = record_fw(monkeypatch)
         sol = solve_gw_multi_init(prob, config)
         assert sol.failed_trials == ((2, "NoConvergence"),)
         assert calls == [3, 2, 2, 2, 2]
-        # the default start and trials 1, 3 and 4 are solved
-        assert len(solved) == 4 and solved[0] is None
+        # the default start is solved alone, then trials 1, 3 and 4 together
+        assert [len(run) for run in runs] == [1, 3]
+        assert np.array_equal(runs[0][0][0].plan, prob.default_init().plan)
+        for t, (init, _) in zip((1, 3, 4), runs[1]):
+            raw = config.seed.substream(t).generator().uniform(0, 1, size=prob.shape)
+            alone = project(raw + gw.INIT_JITTER, prob.source.mass, prob.target.mass)
+            assert np.array_equal(init.plan, alone.plan)
         assert sol.trial_of_origin != 2
+
+    def _flaky_lps(self, monkeypatch, fail):
+        """Patch ``gw.solve_exact_ot`` so that ``fail(t, lp, cost)``, given
+        the start (0 the default, t trial t), its LP count so far and the
+        cost, may raise or swap the cost; returns the per-start LP counts."""
+        solve_ot, starts, lps = gw.solve_exact_ot, [], Counter()
+
+        def flaky(cost, h, g, model=None):
+            if model not in starts:
+                starts.append(model)
+            t = starts.index(model)
+            lps[t] += 1
+            return solve_ot(fail(t, lps[t], cost), h, g, model=model)
+
+        monkeypatch.setattr(gw, "solve_exact_ot", flaky)
+        return lps
 
     def test_failed_solve_is_recorded(self, monkeypatch):
         rng = np.random.default_rng(85)
         prob = GwProblem(random_space(rng, 5), random_space(rng, 4))
-        solve, solved = gw.solve_gw, []
+        config = MultiInitConfig(trials=4, seed=SeedPolicy(2))
+        runs = record_fw(monkeypatch)
+        solve_gw_multi_init(prob, config)
+        clean = [sol for run in runs for _, sol in run]
+        assert clean[2].iterations >= 2
 
-        def flaky(problem, init=None, **kwargs):
-            # the default start is solved first, so the third solve is trial 2's
-            solved.append(init)
-            if len(solved) == 3:
-                raise NoConvergence("solve stalled")
-            return solve(problem, init, **kwargs)
+        def fail(t, lp, cost):
+            # trial 2's second LP stalls; trial 3's first gradient is not finite
+            if t == 2 and lp == 2:
+                raise NoConvergence("LP stalled")
+            if t == 3:
+                cost = cost.copy()
+                cost[0, 0] = np.inf
+            return cost
 
-        monkeypatch.setattr(gw, "solve_gw", flaky)
-        sol = solve_gw_multi_init(prob, MultiInitConfig(trials=3, seed=SeedPolicy(2)))
-        assert sol.failed_trials == ((2, "NoConvergence"),)
-        assert len(solved) == 4 and sol.trial_of_origin != 2
+        lps = self._flaky_lps(monkeypatch, fail)
+        runs.clear()
+        sol = solve_gw_multi_init(prob, config)
+        assert sol.failed_trials == ((2, "NoConvergence"), (3, "NonFinite"))
+        assert (lps[2], lps[3]) == (2, 1)
+        got = [sol for run in runs for _, sol in run]
+        assert isinstance(got[2], NoConvergence) and isinstance(got[3], NonFinite)
+        for t in (0, 1, 4):
+            assert_same_solution(got[t], clean[t])
+        assert sol.objective == min(clean[t].objective for t in (0, 1, 4))
+        assert sol.trial_of_origin not in (2, 3)
+
+    def test_non_library_error_in_an_lp_propagates(self, monkeypatch):
+        rng = np.random.default_rng(87)
+        prob = GwProblem(random_space(rng, 4), random_space(rng, 4))
+
+        def fail(t, lp, cost):
+            if t == 2:
+                raise ValueError("operands could not be broadcast together")
+            return cost
+
+        self._flaky_lps(monkeypatch, fail)
+        with pytest.raises(ValueError):
+            solve_gw_multi_init(prob, MultiInitConfig(trials=3))
 
     def test_non_library_error_in_a_trial_propagates(self, monkeypatch):
         rng = np.random.default_rng(87)

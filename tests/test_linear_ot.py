@@ -163,39 +163,45 @@ class TestTransportLp:
             coupling.plan, _transportation_lp(cost, h.weights, g.weights)
         )
 
-    def test_reset_model_matches_fresh_model(self):
+    def test_interleaved_starts_match_starts_alone_on_fresh_models(self):
+        # a plan depends only on the cost and the start's basis, so starts
+        # taking turns on one model in any order, and a start that left its
+        # model on another start's basis, each get bitwise the plans of that
+        # start solved alone on a fresh model
         rng = np.random.default_rng(9)
-        h, g = self._random(rng, 6, 7)
-        costs = [rng.uniform(0, 10, size=(6, 7)) for _ in range(8)]
+        for n, m, zero_h, zero_g in self.CASES:
+            h, g = self._random(rng, n, m, zero_h, zero_g)
+            costs = rng.uniform(0, 10, size=(4, 6, n, m))
+            alone = []
+            for start_costs in costs:
+                fresh = TransportLp(h, g)
+                alone.append([fresh.solve(c) for c in start_costs])
+            model = TransportLp(h, g)
+            starts = [model.branch() for _ in costs]
+            turns = [(s, k) for k in range(costs.shape[1]) for s in rng.permutation(len(costs))]
+            for s, k in turns:
+                assert np.array_equal(starts[s].solve(costs[s, k]), alone[s][k])
 
-        def run(model):
-            return [model.solve(c) for c in costs]
-
-        fresh = run(TransportLp(h, g))
-        reused = TransportLp(h, g)
-        run(reused)
-        run(reused)  # leaves a warm basis behind
-        reused.reset()
-        for a, b in zip(run(reused), fresh):
-            assert np.array_equal(a, b)
-
-    def test_solve_after_reset_starts_from_the_north_west_corner(self):
+    def test_new_start_stands_on_the_north_west_corner(self):
         # on a Monge cost the north-west-corner basis is optimal, so a solve
-        # that starts from it returns its plan without a simplex iteration
+        # that starts from it returns its plan without a simplex iteration:
+        # a fresh model's first solve, and a start branched from a model
+        # (or from a start) that other solves have moved on
         rng = np.random.default_rng(3)
         for n, m, zero_h, zero_g in self.CASES:
             h, g = self._random(rng, n, m, zero_h, zero_g)
             x, y = np.sort(rng.random(n)), np.sort(rng.random(m))
             monge = (x[:, None] - y[None, :]) ** 2
             model = TransportLp(h, g)
-            for _ in range(2):
-                plan = model.solve(monge)
+            start = model
+            for _ in range(3):
+                plan = start.solve(monge)
                 assert model._model.getInfo().simplex_iteration_count == 0
                 assert np.allclose(
                     plan, _north_west_plan(h.weights, g.weights), rtol=0, atol=1e-15
                 )
-                model.solve(rng.uniform(0, 10, size=(n, m)))  # moves the basis
-                model.reset()
+                start.solve(rng.uniform(0, 10, size=(n, m)))  # moves the basis
+                start = start.branch()
 
 
 def _north_west_plan(h, g):
@@ -276,8 +282,12 @@ def test_linear_ot_uses_only_bindings_the_installed_scipy_has():
 
     uses = set(_binding_uses(ast.parse(Path(linear_ot.__file__).read_text())))
     assert [name for name in sorted(uses) if lookup(name) is None] == []
-    # the start basis's bindings are among those checked
-    assert {"HighsBasis", "HighsBasisStatus.kBasic", "_Highs.setBasis"} <= uses
+    # the bindings of the start basis and of the per-start solve are among
+    # those checked
+    assert {
+        "HighsBasis", "HighsBasisStatus.kBasic", "_Highs.setBasis",
+        "_Highs.clearSolver", "_Highs.getBasis",
+    } <= uses
 
 
 def _highs_options(tree):
