@@ -178,10 +178,12 @@ def gw_gradient(problem: GwProblem, plan) -> np.ndarray:
 
 
 def _check_init(problem: GwProblem, init: Coupling | None) -> Coupling:
-    """The problem's default init, or ``init`` once its shape and marginals
-    (to MARGINAL_TOL) are checked against the problem."""
+    """The problem's default init, or ``init`` once it is checked to be a
+    Coupling of the problem's shape and marginals (to MARGINAL_TOL)."""
     if init is None:
         return problem.default_init()
+    if not isinstance(init, Coupling):
+        raise InvalidInit(f"init must be a Coupling, got {type(init).__name__}")
     if init.shape != problem.shape:
         raise InvalidInit(f"init shape {init.shape} != {problem.shape}")
     row_err, col_err = _marginal_errors(init.plan, problem.source.mass, problem.target.mass)
@@ -204,7 +206,8 @@ def _fw_solve(
     model: TransportLp | None = None,
 ) -> list[GwSolution | GwqapError]:
     """Conditional gradient on alpha*(GW + concavity term) + (1-alpha)*<M, pi>
-    from each of the checked couplings ``inits``, all starts in lockstep.
+    from each of the couplings ``inits`` (each of the problem's shape and
+    marginals), all starts in lockstep.
 
     The starts' plans form a stack (T, n, m). Each round linearizes every
     active start at its plan, finds its optimal polytope vertex by exact OT
@@ -317,7 +320,14 @@ def solve_gw(
     ``TransportLp`` of the problem's marginals passed as ``model`` lends its
     HiGHS model to the exact-OT steps, which start from the
     north-west-corner basis either way, so the result is bitwise the same
-    with or without it. It runs ``_fw_solve`` on a one-start stack.
+    with or without it; one of other marginals raises ValidationError. It
+    runs ``_fw_solve`` on a one-start stack.
+
+    With ``loss="product"`` and concavity 0, no term sends Frank-Wolfe to
+    a vertex, and plain Frank-Wolfe converges sublinearly: it can run all
+    FW_MAX_ITER steps without meeting FW_TOL, as every start did on random
+    7 x 6 spaces. ``to_gw_problem`` sets the concavity, so the CQAP path is
+    not affected.
     """
     return _solve_one(problem, np.zeros(problem.shape), 1.0, init, model)
 
@@ -344,43 +354,32 @@ def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSoluti
     stacked ``sinkhorn_project`` call (alternating rescaling to
     PROJECTION_DELTA, each start stopping at its own sweep, so each start is
     bitwise what projecting it alone gives); if it raises a library error,
-    each start is projected alone. The default init is solved by
-    ``solve_gw``, then all random starts by one lockstep ``_fw_solve``, all
-    on one HiGHS model, each start from its own basis: every start's
+    each start is projected alone. A projected start needs no init check: it
+    has the problem's shape and marginals within PROJECTION_DELTA (1e-12),
+    well inside the check's MARGINAL_TOL (1e-9). The default init is solved
+    by ``solve_gw``, then all projected starts by one lockstep ``_fw_solve``,
+    all on one HiGHS model, each start from its own basis: every start's
     solution is bitwise what ``solve_gw`` gives it alone.
 
     The lowest-objective solution wins; only an exactly equal objective
     goes to the earlier trial (default init first). Starts that reach the
     same coupling can differ in the last bits of their objective, and then
-    the lower value wins, not the earlier start. A trial whose projection,
-    init check or Frank-Wolfe run raises a library error is skipped and
-    listed in ``failed_trials``; any other exception propagates.
+    the lower value wins, not the earlier start. A trial whose projection
+    or Frank-Wolfe run raises a library error is skipped and listed in
+    ``failed_trials``; any other exception propagates.
     """
-    n, m = problem.shape
     h, g = problem.source.mass, problem.target.mass
-    trials = range(1, config.trials + 1)
-    raw = np.empty((config.trials, n, m))
-    for t in trials:
-        raw[t - 1] = config.seed.substream(t).generator().uniform(0.0, 1.0, size=(n, m))
-    raw += INIT_JITTER
-    # each trial's checked start, or the library error that stopped it
-    outcome = {}
-    for t, init in zip(trials, _project_starts(raw, h, g)):
-        try:
-            outcome[t] = init if isinstance(init, GwqapError) else _check_init(problem, init)
-        except GwqapError as exc:
-            outcome[t] = exc
-    started = [t for t in trials if isinstance(outcome[t], Coupling)]
-
+    raw = np.empty((config.trials, *problem.shape))
+    for t in range(config.trials):
+        raw[t] = config.seed.substream(t + 1).generator().uniform(0.0, 1.0, size=problem.shape)
+    inits = _project_starts(raw + INIT_JITTER, h, g)
     model = TransportLp(h, g)
     best = solve_gw(problem, None, model=model)
-    solved = _fw_solve(
-        problem, np.zeros(problem.shape), 1.0, [outcome[t] for t in started], model
-    )
-    outcome.update(zip(started, solved))
+    starts = [init for init in inits if isinstance(init, Coupling)]
+    solved = iter(_fw_solve(problem, np.zeros(problem.shape), 1.0, starts, model))
     failed = []
-    for t in trials:
-        sol = outcome[t]
+    for t, init in enumerate(inits, 1):
+        sol = init if isinstance(init, GwqapError) else next(solved)
         if isinstance(sol, GwqapError):
             failed.append((t, type(sol).__name__))
         elif sol.objective < best.objective:

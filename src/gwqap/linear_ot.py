@@ -50,11 +50,15 @@ def solve_exact_ot(
     entries), as required by the conditional-gradient callers. A
     ``TransportLp`` start for (h, g) passed as ``model`` solves the LP from
     its last basis; without one a fresh model solves it from the
-    north-west-corner basis.
+    north-west-corner basis. A model of other marginals raises
+    ValidationError (DimensionMismatch if its shape differs).
     """
     c = _as_matrix(cost, (h.n, g.n), "cost")
     if model is None:
         model = TransportLp(h, g)
+    elif model.marginals != (h, g):
+        error = DimensionMismatch if model.shape != c.shape else ValidationError
+        raise error(f"the model's {model.shape} marginals are not these {c.shape} (h, g)")
     plan = model.solve(c)
     objective = float((c * plan).sum())
     return Coupling(plan, h, g), objective
@@ -73,10 +77,12 @@ class TransportLp:
     only on the cost and the start's basis, so starts interleaved on one
     model get bitwise the plans each gets alone on a fresh model. Every
     answer is a basic optimal plan; a zero-mass atom's row or column sums to
-    zero, so its entries are zero.
+    zero, so its entries are zero. Its ``marginals`` (h, g) are what
+    ``solve_exact_ot`` checks a model against.
     """
 
     def __init__(self, h: Histogram, g: Histogram):
+        self.marginals = (h, g)
         self.shape = (h.n, g.n)
         size = h.n * g.n
         self._index = np.arange(size, dtype=np.int32)

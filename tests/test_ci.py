@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def declared_floors():
     project = (ROOT / "pyproject.toml").read_text()
     floors = {"Python": re.search(r'^requires-python = ">=([\d.]+)"$', project, re.M)}
-    for dep in ("numpy", "scipy"):
+    for dep in ("click", "numpy", "scipy"):
         floors[dep] = re.search(rf'^\s*"{dep}>=([\d.]+)",$', project, re.M)
     assert all(floors.values()), f"a floor is missing from pyproject.toml: {floors}"
     return {name: match.group(1) for name, match in floors.items()}
@@ -36,7 +36,7 @@ def test_floor_job_pins_the_declared_floors():
     job = floor_job()
     assert job["python"] == floors["Python"]
     assert sorted(job["pins"].split()) == [
-        f"{dep}=={floors[dep]}.*" for dep in ("numpy", "scipy")
+        f"{dep}=={floors[dep]}.*" for dep in ("click", "numpy", "scipy")
     ]
     for name, version in floors.items():
         assert f"{name} {version}" in job["name"], job["name"]

@@ -27,6 +27,7 @@ from gwqap import InstanceSpec, generate_instance, gw
 from gwqap.core import MARGINAL_TOL
 from gwqap.cqap import to_gw_problem
 from gwqap.gw import FgwProblem, GwProblem, MultiInitConfig
+from gwqap.linear_ot import TransportLp
 from gwqap.errors import (
     AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence, NonFinite, ValidationError
 )
@@ -367,6 +368,37 @@ class TestSolveGw:
             solve_fgw(fgw, init=ones)
         sol = solve_fgw(fgw, init=problem.default_init())
         assert max(marginal_violation(sol.coupling)) <= 1e-9
+
+    def test_array_init_is_refused(self):
+        rng = np.random.default_rng(0)
+        problem = GwProblem(random_space(rng, 3), random_space(rng, 3))
+        plan = problem.default_init().plan
+        with pytest.raises(InvalidInit):
+            solve_gw(problem, init=plan)
+        with pytest.raises(InvalidInit):
+            solve_fgw(FgwProblem(problem, np.zeros((3, 3)), alpha=0.5), init=plan)
+
+    def test_model_of_other_marginals_is_refused(self):
+        rng = np.random.default_rng(0)
+        problem = GwProblem(random_space(rng, 3), random_space(rng, 4))
+        other = random_space(rng, 3).mass, random_space(rng, 4).mass
+        with pytest.raises(ValidationError):
+            solve_gw(problem, model=TransportLp(*other))
+
+    def test_lone_solve_reraises_its_lp_error(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        problem = GwProblem(random_space(rng, 3), random_space(rng, 3))
+        error = NoConvergence("LP stopped short")
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(gw, "solve_exact_ot", failing)
+        fgw = FgwProblem(problem, np.zeros((3, 3)), alpha=0.5)
+        for solve in (lambda: solve_gw(problem), lambda: solve_fgw(fgw)):
+            with pytest.raises(NoConvergence) as raised:
+                solve()
+            assert raised.value is error
 
     def test_marginals_preserved(self):
         rng = np.random.default_rng(41)

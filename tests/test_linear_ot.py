@@ -203,6 +203,23 @@ class TestTransportLp:
                 start.solve(rng.uniform(0, 10, size=(n, m)))  # moves the basis
                 start = start.branch()
 
+    def test_model_of_other_marginals_is_refused(self):
+        # a model keeps the marginals it was built for: solving other ones
+        # on it would return a coupling declared on (h, g) that holds the
+        # model's marginals, or read costs past the end of the cost matrix
+        rng = np.random.default_rng(5)
+        h, g = self._random(rng, 4, 5)
+        cost = rng.uniform(0, 10, size=(4, 5))
+        with pytest.raises(ValidationError) as refused:
+            solve_exact_ot(cost, h, g, model=TransportLp(*self._random(rng, 4, 5)))
+        assert not isinstance(refused.value, DimensionMismatch)
+        with pytest.raises(DimensionMismatch):
+            solve_exact_ot(cost, h, g, model=TransportLp(*self._random(rng, 6, 7)))
+        # equal weights in other Histogram objects are the same marginals
+        twin = TransportLp(Histogram(h.weights.copy()), Histogram(g.weights.copy()))
+        coupling, _ = solve_exact_ot(cost, h, g, model=twin.branch())
+        assert np.array_equal(coupling.plan, solve_exact_ot(cost, h, g)[0].plan)
+
 
 def _north_west_plan(h, g):
     """The north-west-corner plan: cell (i, j) carries the overlap of row
