@@ -177,9 +177,10 @@ def _grid_value(text):
 @click.option("--inst", "inst_path", type=click.Path(exists=True), required=True)
 @click.option(
     "--node-cap", type=int, default=ORACLE_NODE_CAP,
-    help="Nodes searched before giving up (default 10^8). At about 10-16 us a "
-    "node, an M-size instance the search does not prove runs some 17-27 "
-    "minutes before the unproven answer.",
+    help="Nodes searched before giving up (default 10^8). The search costs "
+    "about 10-16 us a node in Python, so on an M-size instance it does not "
+    "prove the default runs some 17-27 minutes before it reports "
+    "proven=False.",
 )
 def oracle(inst_path, node_cap):
     """Exact branch-and-bound oracle for one instance, any size; exits 3

@@ -211,9 +211,11 @@ def _fw_solve(
 
     The starts' plans form a stack (T, n, m). Each round linearizes every
     active start at its plan, finds its optimal polytope vertex by exact OT
-    (one LP per start, each start on its own ``branch`` of ``model``, a
-    ``TransportLp`` for the problem's marginals, or of a fresh one), and
-    takes the closed-form quadratic line-search step clamped to [0, 1]. The
+    and takes the closed-form quadratic line-search step clamped to [0, 1].
+    The vertices of a round come from one ``solve_exact_ot`` call on the
+    stack of gradients (T, n*m), one LP per row, solved by the starts of a
+    ``branch`` of ``model`` (a ``TransportLp`` for the problem's marginals,
+    or a fresh one), each from its own last basis. The
     cross terms, gradients and the sums behind the line searches and
     objectives are array operations over the active starts, every per-start
     sum taken by ``_sums``; each start's step and objective are then
@@ -221,9 +223,10 @@ def _fw_solve(
     step that converges it, so each start's solution is bitwise what a stack
     of that start alone gives.
 
-    Returns, per start, its GwSolution or the library error its LP raised
-    (a non-finite gradient among them); a failing start leaves the stack
-    and the others go on. Any other exception propagates.
+    Returns, per start, its GwSolution or the library error its LP row
+    failed with (``NonFinite`` for a non-finite gradient, ``NoConvergence``
+    at the pivot cap); a failing start leaves the stack and the others go
+    on. An exception the call raises propagates.
 
     The objective, its gradient and the line search always evaluate the
     concavity and fused terms: they add exact zeros at concavity 0 and at
@@ -252,8 +255,7 @@ def _fw_solve(
             objective_history=tuple(histories[active[k]]),
         )
 
-    model = model or TransportLp(h, g)
-    starts = [model.branch() for _ in inits]
+    lp = (model or TransportLp(h, g)).branch(len(inits))
     results: list = [None] * len(inits)
     # the stack holds the active starts; active[k] is slice k's start
     active = list(range(len(inits)))
@@ -265,16 +267,14 @@ def _fw_solve(
             break
         gw_grad = 2.0 * E + mu * (G - 2.0 * pi)
         grad = alpha * gw_grad + (1.0 - alpha) * M
-        vertex = np.empty_like(pi)
-        keep = []
-        for k, start in enumerate(active):
-            try:
-                vertex[k] = solve_exact_ot(grad[k], h, g, model=starts[start])[0].plan
-                keep.append(k)
-            except GwqapError as exc:
-                results[start] = exc
+        vertex, errors = solve_exact_ot(grad.reshape(len(active), -1), h, g, model=lp)
+        keep = [k for k, error in enumerate(errors) if error is None]
         if len(keep) < len(active):
+            for start, error in zip(active, errors):
+                if error is not None:
+                    results[start] = error
             active = [active[k] for k in keep]
+            lp.keep(keep)
             pi, E, gw_grad, vertex = pi[keep], E[keep], gw_grad[keep], vertex[keep]
         delta = vertex - pi
         dE = _cross_term(problem, vertex) - E
@@ -301,6 +301,7 @@ def _fw_solve(
                 keep.append(k)
         if len(keep) < len(active):
             active = [active[k] for k in keep]
+            lp.keep(keep)
             pi, E = pi[keep], E[keep]
     for k, start in enumerate(active):
         results[start] = solution(k, False, FW_MAX_ITER)
@@ -318,10 +319,10 @@ def solve_gw(
     The objective is gw_loss plus the problem's concavity term. The default
     initialization is the product coupling of the marginals. A
     ``TransportLp`` of the problem's marginals passed as ``model`` lends its
-    HiGHS model to the exact-OT steps, which start from the
-    north-west-corner basis either way, so the result is bitwise the same
-    with or without it; one of other marginals raises ValidationError. It
-    runs ``_fw_solve`` on a one-start stack.
+    north-west-corner basis to the exact-OT steps, which start from that
+    basis either way, so the result is bitwise the same with or without it;
+    one of other marginals raises ValidationError. It runs ``_fw_solve`` on
+    a one-start stack.
 
     With ``loss="product"`` and concavity 0, no term sends Frank-Wolfe to
     a vertex, and plain Frank-Wolfe converges sublinearly: it can run all
@@ -358,8 +359,9 @@ def solve_gw_multi_init(problem: GwProblem, config: MultiInitConfig) -> GwSoluti
     has the problem's shape and marginals within PROJECTION_DELTA (1e-12),
     well inside the check's MARGINAL_TOL (1e-9). The default init is solved
     by ``solve_gw``, then all projected starts by one lockstep ``_fw_solve``,
-    all on one HiGHS model, each start from its own basis: every start's
-    solution is bitwise what ``solve_gw`` gives it alone.
+    whose LPs of a step are one batched transport simplex over the stack,
+    each start from its own basis; both branch one ``TransportLp``. Every
+    start's solution is bitwise what ``solve_gw`` gives it alone.
 
     The lowest-objective solution wins; only an exactly equal objective
     goes to the earlier trial (default init first). Starts that reach the

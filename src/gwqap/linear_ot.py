@@ -42,97 +42,336 @@ def solve_lap(cost) -> tuple[Assignment, float]:
 
 def solve_exact_ot(
     cost, h: Histogram, g: Histogram, model: "TransportLp | None" = None
-) -> tuple[Coupling, float]:
+):
     """Exact vertex solution of the discrete Kantorovich problem.
 
     Solves min <C, T> over the transportation polytope with the given
-    marginals and returns a basic optimal solution (at most n+m-1 support
-    entries), as required by the conditional-gradient callers. A
-    ``TransportLp`` start for (h, g) passed as ``model`` solves the LP from
-    its last basis; without one a fresh model solves it from the
-    north-west-corner basis. A model of other marginals raises
-    ValidationError (DimensionMismatch if its shape differs).
+    marginals and returns (coupling, objective), a basic optimal solution (at
+    most n+m-1 support entries), as the conditional-gradient callers need.
+    The LP is solved by a fresh ``TransportLp`` from the north-west-corner
+    basis.
+
+    With a ``TransportLp`` of (h, g) as ``model``, ``cost`` is instead a
+    stack (T, n*m) of T LPs, one per row in cell order i*m + j, T the
+    model's number of starts: row t is solved by start t from its last
+    basis, all rows in one batched simplex. Returns (plans, errors): plans
+    (T, n, m), and errors[t] the library error row t failed with, or None
+    (a failed row's plan is all zeros). A model of other marginals raises
+    ValidationError (DimensionMismatch if its shape differs); a stack of
+    the wrong shape raises DimensionMismatch.
     """
-    c = _as_matrix(cost, (h.n, g.n), "cost")
     if model is None:
-        model = TransportLp(h, g)
-    elif model.marginals != (h, g):
-        error = DimensionMismatch if model.shape != c.shape else ValidationError
-        raise error(f"the model's {model.shape} marginals are not these {c.shape} (h, g)")
-    plan = model.solve(c)
-    objective = float((c * plan).sum())
-    return Coupling(plan, h, g), objective
+        c = _as_matrix(cost, (h.n, g.n), "cost")
+        plans, (error,) = TransportLp(h, g).solve(c.reshape(1, -1))
+        if error is not None:
+            raise error
+        return Coupling(plans[0], h, g), float((c * plans[0]).sum())
+    if model.marginals != (h, g):
+        error = DimensionMismatch if model.shape != (h.n, g.n) else ValidationError
+        raise error(f"the model's {model.shape} marginals are not these ({h.n}, {g.n}) (h, g)")
+    costs = np.asarray(cost, dtype=np.float64)
+    if costs.shape != (len(model), h.n * g.n):
+        raise DimensionMismatch(
+            f"costs are {costs.shape}, the model's starts need ({len(model)}, {h.n * g.n})"
+        )
+    return model.solve(costs)
+
+
+# The transport simplex takes a reduced cost of at least -_DUAL_TOL * max|C|
+# as non-negative and, under Bland's rule, basic values within _MASS_TOL (of
+# a unit total mass) as tied; a solve fails a start after _PIVOTS_PER_CELL
+# pivots per cell of the LP
+_DUAL_TOL = 1e-11
+_MASS_TOL = 1e-13
+_PIVOTS_PER_CELL = 10
 
 
 class TransportLp:
-    """One start of the transportation LP of fixed marginals (h, g): a
-    HiGHS model, which the starts that ``branch`` makes share, and the
-    start's own simplex basis.
+    """Starts of the transportation LP of fixed marginals (h, g), solved
+    together by a batched primal transport simplex.
 
-    Each ``solve`` clears the model's solver data, sets the start's basis,
-    changes the costs and runs primal simplex; it then keeps the optimal
-    basis for the start's next solve. A new start stands on the
-    north-west-corner basis. Both are primal feasible, so a sequence of
-    costs, as Frank-Wolfe produces, needs few pivots per LP. A plan depends
-    only on the cost and the start's basis, so starts interleaved on one
-    model get bitwise the plans each gets alone on a fresh model. Every
-    answer is a basic optimal plan; a zero-mass atom's row or column sums to
-    zero, so its entries are zero. Its ``marginals`` (h, g) are what
-    ``solve_exact_ot`` checks a model against.
+    The LP has the n row and m column constraints of the marginals; the
+    last column constraint is implied by the others and is dropped. A basis
+    is a spanning tree of n+m-1 cells, and each start keeps its own: the
+    cells and the basis's inverse, whose entries are -1, 0 or 1 (int8)
+    since the constraint matrix is totally unimodular, so every pivot
+    updates it exactly. A new start stands on the north-west-corner basis,
+    and each later solve begins at the start's last optimal basis: both are
+    primal feasible, and Frank-Wolfe changes only the costs.
+
+    ``solve`` runs the starts in rounds. Each round prices every cell of
+    every active start in one numpy operation and pivots each start once:
+    the most negative reduced cost enters (Dantzig's rule), the ratio test
+    picks the leaving cell on its cycle, the inverse takes the rank-one
+    update of the cycle (rows off it subtract zero) and the duals move by
+    the leaving cell's row of the inverse. After n*m rounds a solve keeps
+    to Bland's rule (first negative cell in, smallest cell out among ties),
+    so it cannot cycle; after ``max_pivots`` (_PIVOTS_PER_CELL * n * m)
+    pivots a start fails with NoConvergence. A start that looks optimal on
+    its updated duals recomputes them from its basis and prices again; it
+    leaves once those reduced costs are all at least -_DUAL_TOL * max|C|.
+    Its plan is B^-1 b clipped at 0, with zero-mass atoms' rows and columns
+    zeroed. Every step acts on each start's own rows, and the last active
+    start takes the same steps on plain views (``_solve_one``), so a start's
+    plans are bitwise what it gets solved alone. After a solve, ``pivots``
+    holds each start's pivot count and ``rounds`` the number of rounds.
+
+    Its ``marginals`` (h, g) are what ``solve_exact_ot`` checks a model
+    against.
     """
 
     def __init__(self, h: Histogram, g: Histogram):
         self.marginals = (h, g)
-        self.shape = (h.n, g.n)
-        size = h.n * g.n
-        self._index = np.arange(size, dtype=np.int32)
-        b = np.concatenate([h.weights, g.weights])
-        self._model = _highs_model(
-            (*_transport_pattern(h.n, g.n), np.ones(2 * size)),
-            np.zeros(size),
-            np.full(size, np.inf),
-            b,
-            b,
-            solver="simplex",
-            simplex_strategy=4,  # primal simplex
-        )
-        self._start = self._basis = _north_west_basis(h.weights, g.weights)
+        n, m = self.shape = (h.n, g.n)
+        self.max_pivots = _PIVOTS_PER_CELL * n * m
+        self._b = np.concatenate([h.weights, g.weights])
+        cells = _north_west_corner(h.weights, g.weights)
+        self._corner = cells, _tree_inverse(cells, n, m)
+        self._void = np.flatnonzero(np.logical_or.outer(h.weights == 0, g.weights == 0))
+        # the two constraints (row i, column n + j) of each cell i*m + j
+        self._ends = np.arange(n * m) // m, n + np.arange(n * m) % m
+        self._reset(1)
 
-    def branch(self) -> "TransportLp":
-        """A new start on the same model, at the north-west-corner basis."""
-        start = copy.copy(self)
-        start._basis = self._start
-        return start
+    def _reset(self, starts):
+        cells, inverse = self._corner
+        self._basis = np.tile(cells, (starts, 1))
+        self._inverse = np.tile(inverse, (starts, 1, 1))
+        self.pivots = np.zeros(starts, dtype=np.int64)
+        self.rounds = 0
 
-    def solve(self, cost: np.ndarray) -> np.ndarray:
-        self._model.clearSolver()
-        self._model.setBasis(self._basis)
-        self._model.changeColsCost(self._index.size, self._index, cost.ravel())
-        plan = _highs_solution(self._model, "transportation LP").reshape(self.shape)
-        self._basis = self._model.getBasis()
-        np.clip(plan, 0.0, None, out=plan)
-        return plan
+    def __len__(self):
+        return len(self._basis)
+
+    def branch(self, starts: int = 1) -> "TransportLp":
+        """``starts`` new starts of the same LP, at the north-west-corner basis."""
+        lp = copy.copy(self)
+        lp._reset(starts)
+        return lp
+
+    def keep(self, rows) -> None:
+        """Keep only the starts ``rows``, in that order."""
+        self._basis, self._inverse = self._basis[rows], self._inverse[rows]
+        self.pivots = self.pivots[rows]
+
+    def solve(self, costs: np.ndarray) -> tuple[np.ndarray, list]:
+        """Solve row t of ``costs`` (T, n*m) from start t's basis; (plans
+        (T, n, m), errors) as ``solve_exact_ot`` returns them. A row with a
+        non-finite cost fails with NonFinite, one that reaches the pivot cap
+        with NoConvergence; the other rows are solved as if alone."""
+        n, m = self.shape
+        T = len(self)
+        plans = np.zeros((T, n * m))
+        errors: list = [None] * T
+        self.pivots = np.zeros(T, dtype=np.int64)
+        self.rounds = 0
+        finite = np.isfinite(costs).all(axis=1)
+        for t in np.flatnonzero(~finite):
+            errors[t] = NonFinite(f"transportation LP {t} has a non-finite cost")
+        s = _Starts(self, np.flatnonzero(finite), costs)
+        while s.index.size > 1:
+            self.rounds += 1
+            bland = self.rounds > n * m
+            enter, gain = s.price(bland)
+            done = gain >= s.neg_tol
+            if done.any():
+                if self.rounds > 1:
+                    # the duals of a start that looks optimal were updated
+                    # by its pivots: recompute them and price again
+                    s.y[done] = _duals(
+                        s.c[done], s.basis[done], s.inverse[done].astype(np.float64)
+                    )
+                    enter[done], gain[done] = s.price(bland, done)
+                    done = gain >= s.neg_tol
+                self._leave(s, done, plans)
+                enter, gain = enter[~done], gain[~done]
+                s.keep(~done)
+            if self.rounds > self.max_pivots:
+                break
+            if s.index.size:
+                s.pivot(enter, gain, bland)
+        if s.index.size == 1 and self.rounds <= self.max_pivots and self._solve_one(s):
+            self._leave(s, np.ones(1, dtype=bool), plans)
+        elif s.index.size:
+            for t in s.index:
+                errors[t] = NoConvergence(
+                    f"transportation LP {t} reached the pivot cap ({self.max_pivots})"
+                )
+            self._leave(s, np.zeros(s.index.size, dtype=bool), plans)
+        if self._void.size:
+            plans[:, self._void] = 0.0
+        return plans.reshape(T, n, m), errors
+
+    def _solve_one(self, s) -> bool:
+        """The rounds of the last active start: the steps of the stacked
+        rounds on plain views of its state, without the fancy indexing a
+        stack needs. True once it is optimal, False at the pivot cap."""
+        n, m = self.shape
+        c, y, neg_tol = s.c[0].reshape(n, m), s.y[0], s.neg_tol[0]
+        u, v = y[:n, None], y[n:]
+        inverse, x, basis = s.inverse[0], s.x[0], s.basis[0]
+        rows, cols = self._ends
+        while True:
+            self.rounds += 1
+            bland = self.rounds > n * m
+            enter, gain = _price_one(c, u, v, neg_tol, bland)
+            if gain >= neg_tol and self.rounds > 1:
+                y[:] = _duals(s.c, s.basis, s.inverse.astype(np.float64))[0]
+                enter, gain = _price_one(c, u, v, neg_tol, bland)
+            if gain >= neg_tol:
+                return True
+            if self.rounds > self.max_pivots:
+                return False
+            d = inverse[:, rows[enter]] + inverse[:, cols[enter]]
+            ratio = np.where(d > 0, x, np.inf)
+            out = ratio.argmin()
+            if bland:
+                out = np.where(ratio <= ratio[out] + _MASS_TOL, basis, n * m).argmin()
+            theta = ratio[out]
+            row = inverse[out].copy()
+            d[out] = 0
+            x -= theta * d
+            inverse -= np.multiply.outer(d, row)
+            basis[out] = enter
+            y += gain * row
+
+    def _leave(self, s, solved, plans):
+        """Keep the bases of all starts in ``s``; write the plans of those
+        that ``solved``."""
+        self._basis[s.index], self._inverse[s.index] = s.basis, s.inverse
+        self.pivots[s.index] = self.rounds - 1
+        values = np.clip(s.inverse[solved].astype(np.float64) @ self._b, 0.0, None)
+        plans[s.index[solved, None], s.basis[solved]] = values
 
 
-def _north_west_basis(h, g):
-    """The north-west-corner basis of the transportation LP of (h, g).
+class _Starts:
+    """The state of the starts a ``TransportLp.solve`` still pivots, one row
+    per start: its index in the stack, costs, dual tolerance, basis cells,
+    basis inverse, basic values x and duals y."""
+
+    FIELDS = ("index", "c", "neg_tol", "basis", "inverse", "x", "y")
+
+    def __init__(self, lp, index, costs):
+        self.n, self.m = lp.shape
+        self.rows, self.cols = lp._ends
+        # with every row finite, the state is views of the arrays it updates
+        rows = slice(None) if index.size == len(costs) else index
+        self.index, self.c = index, costs[rows]
+        self.neg_tol = -_DUAL_TOL * np.abs(self.c).max(axis=1, initial=0.0)
+        self.basis, self.inverse = lp._basis[rows], lp._inverse[rows]
+        inverse = self.inverse.astype(np.float64)
+        self.x, self.y = inverse @ lp._b, _duals(self.c, self.basis, inverse)
+        self.starts = np.arange(index.size)
+
+    def keep(self, rows):
+        for name in self.FIELDS:
+            setattr(self, name, getattr(self, name)[rows])
+        self.starts = np.arange(self.index.size)
+
+    def price(self, bland, rows=slice(None)):
+        """The entering cell of each start in ``rows`` and its reduced cost:
+        the most negative one, or under Bland's rule the first below
+        -tol."""
+        n, m = self.n, self.m
+        y = self.y[rows]
+        reduced = self.c[rows].reshape(-1, n, m) - y[:, :n, None]
+        reduced -= y[:, None, n:]
+        reduced = reduced.reshape(len(y), n * m)
+        if bland:
+            enter = (reduced < self.neg_tol[rows, None]).argmax(axis=1)
+            return enter, reduced[self.starts[: len(y)], enter]
+        return reduced.argmin(axis=1), reduced.min(axis=1)
+
+    def pivot(self, enter, gain, bland):
+        """One pivot of every start: cell ``enter`` of reduced cost ``gain``
+        enters. The leaving row's entry of the cycle is zeroed, which keeps
+        that row of the inverse and its basic value as they are."""
+        inverse, x, starts = self.inverse, self.x, self.starts
+        # the entering cell's column in basic coordinates: +-1 on its cycle
+        d = inverse[starts, :, self.rows[enter]] + inverse[starts, :, self.cols[enter]]
+        ratio = np.where(d > 0, x, np.inf)
+        out = ratio.argmin(axis=1)
+        if bland:
+            tied = ratio <= ratio[starts, out, None] + _MASS_TOL
+            out = np.where(tied, self.basis, self.n * self.m).argmin(axis=1)
+        theta = ratio[starts, out]
+        row = inverse[starts, out]
+        d[starts, out] = 0
+        x -= theta[:, None] * d
+        inverse -= d[:, :, None] * row[:, None, :]
+        self.basis[starts, out] = enter
+        self.y += gain[:, None] * row
+
+
+def _price_one(c, u, v, neg_tol, bland):
+    """``_Starts.price`` of a lone start on views of its (n, m) costs and
+    its duals u (n, 1) and v (m,), as two scalars."""
+    reduced = c - u
+    reduced -= v
+    reduced = reduced.ravel()
+    enter = (reduced < neg_tol).argmax() if bland else reduced.argmin()
+    return enter, reduced[enter]
+
+
+def _duals(c, basis, inverse):
+    """The duals (u, v) of each start's basis, v[m-1] = 0 for the dropped
+    constraint: c_B B^-1."""
+    return (c[np.arange(len(c))[:, None], basis][:, None, :] @ inverse)[:, 0]
+
+
+def _tree_inverse(cells, n, m):
+    """The inverse of the basis of the spanning tree ``cells``, int8, with a
+    zero column for the dropped constraint.
+
+    Rooted at that constraint's node (column m-1), each cell ships the mass
+    of the nodes S below it: with a its end away from the root, the masses
+    of S's nodes on a's side less those of S's other nodes. Its row of
+    B^-1 is so +1 on the first and -1 on the second; S is a range of a
+    depth-first order of the nodes.
+    """
+    w = n + m
+    adjacent = [[] for _ in range(w)]
+    for cell, (i, j) in enumerate(zip((cells // m).tolist(), (n + cells % m).tolist())):
+        adjacent[i].append((j, cell))
+        adjacent[j].append((i, cell))
+    below = [0] * len(cells)
+    up = [-1] * w  # the cell joining each node to its parent
+    first, last = [0] * w, [0] * w
+    clock = 1
+    stack = [(w - 1, iter(adjacent[w - 1]))]
+    while stack:
+        node, edges = stack[-1]
+        for other, cell in edges:
+            if cell != up[node]:
+                up[other], below[cell], first[other] = cell, other, clock
+                clock += 1
+                stack.append((other, iter(adjacent[other])))
+                break
+        else:
+            last[node] = clock
+            stack.pop()
+    a, first, last = np.array(below), np.array(first), np.array(last)
+    inside = (first[a, None] <= first) & (first < last[a, None])
+    same = (np.arange(w) >= n) == (a >= n)[:, None]
+    return np.where(inside, np.where(same, 1, -1), 0).astype(np.int8)
+
+
+def _north_west_corner(h, g):
+    """The cells i*m + j of the north-west-corner basis of (h, g).
 
     The rule walks a staircase from cell (0, 0) to (n-1, m-1), moving down
     once a row's mass is used up and right otherwise; its n+m-1 cells are a
-    spanning tree, so they are the basic columns, with the last row's slack
-    because the rows have rank n+m-1. The basis's plan ships min(supply,
-    demand) along the walk, so it is feasible; a tie or a zero-mass atom
-    only puts a zero on the staircase.
+    spanning tree, and the plan that ships min(supply, demand) along the
+    walk is feasible; a tie or a zero-mass atom only puts a zero on the
+    staircase.
     """
     n, m = h.size, g.size
-    basic, lower = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kLower
-    cols = [lower] * (n * m)
+    cells = []
     i = j = 0
     supply, demand = h[0], g[0]
     while True:
-        cols[i * m + j] = basic
+        cells.append(i * m + j)
         if i == n - 1 and j == m - 1:
-            break
+            return np.array(cells)
         if j == m - 1 or (i < n - 1 and supply <= demand):
             demand -= supply
             i += 1
@@ -141,13 +380,6 @@ def _north_west_basis(h, g):
             supply -= demand
             j += 1
             demand = g[j]
-    basis = _highs.HighsBasis()
-    basis.col_status = cols
-    basis.row_status = [lower] * (n + m - 1) + [basic]
-    # HiGHS refuses a non-alien basis with the wrong number of basic
-    # variables, where it would repair an alien one and accept it
-    basis.alien = False
-    return basis
 
 
 def _transport_pattern(n, m):

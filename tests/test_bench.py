@@ -296,20 +296,19 @@ class TestRunSuite:
 
 
 # gw-multi (20 trials) on the seed-0 M instances, recorded with the
-# three-contraction Frank-Wolfe running the random starts in lockstep on one
-# transport model, whose LPs run primal simplex on a cleared solver from
-# each start's own basis: relaxed and binary objectives, winning start's
-# iterations, and digests of the exact bytes of the coupling and the
-# rounded assignment
+# three-contraction Frank-Wolfe running the random starts in lockstep, their
+# LPs of each step solved by one batched transport simplex from each start's
+# own basis: relaxed and binary objectives, winning start's iterations, and
+# digests of the exact bytes of the coupling and the rounded assignment
 GW_MULTI_PINS = {
     "M1": ("0x1.0d60d9caf5294p+15", "0x1.e912c3f19e261p+10", True, 4,
-           "609ba3dca447855f", "74d98808a15c55a0"),
+           "7d0d59c10afc89cb", "74d98808a15c55a0"),
     "M2": ("0x1.85e379f6a5b72p+15", "0x1.9feb0d048be12p+11", False, 4,
-           "3cb4606ce3189a46", "f6be035a7c46060d"),
-    "M3": ("0x1.90b84c89281ffp+15", "0x1.18a82e0ffe541p+11", True, 4,
-           "47469ed6f4d1692a", "c4c0861b88dc0c22"),
+           "46e8131687c9ab97", "f6be035a7c46060d"),
+    "M3": ("0x1.90b84c8928200p+15", "0x1.18a82e0ffe541p+11", True, 4,
+           "b882713124462942", "c4c0861b88dc0c22"),
     "M4": ("0x1.8eebc7611d568p+17", "0x1.2fbcee95b05efp+13", True, 8,
-           "5b3ddd5e925e0d11", "3f7307793c065890"),
+           "5ba228268097beff", "3f7307793c065890"),
 }
 
 

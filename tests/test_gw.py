@@ -26,10 +26,11 @@ from gwqap import (
 from gwqap import InstanceSpec, generate_instance, gw
 from gwqap.core import MARGINAL_TOL
 from gwqap.cqap import to_gw_problem
-from gwqap.gw import FgwProblem, GwProblem, MultiInitConfig
+from gwqap.gw import FW_MAX_ITER, FgwProblem, GwProblem, MultiInitConfig
 from gwqap.linear_ot import TransportLp
 from gwqap.errors import (
-    AlphaOutOfRange, DimensionMismatch, InvalidInit, NoConvergence, NonFinite, ValidationError
+    AlphaOutOfRange, DimensionMismatch, GwqapError, InvalidInit, NoConvergence, NonFinite,
+    ValidationError,
 )
 
 
@@ -286,14 +287,14 @@ class TestSolveGw:
         assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
     # objective, iterations and plan digest of the square-loss solves below,
-    # recorded with each exact-OT step run by primal simplex on a cleared
-    # solver, from the north-west-corner basis and then from the last
+    # recorded with each exact-OT step run by the library's transport
+    # simplex, from the north-west-corner basis and then from the last
     # step's optimal basis
     SQUARE_PINS = {
-        (0, "default"): ("0x1.feeb42efd2fc1p+2", 5, "91639586a7e98cf5"),
-        (0, "random"): ("0x1.795889a850145p+2", 7, "05bb410ae45e2329"),
-        (1, "default"): ("0x1.b57ec6f0c643cp+2", 5, "fee31a1d67bef5d8"),
-        (1, "random"): ("0x1.9cfb73c14e26dp+2", 3, "81e40def7eb31d81"),
+        (0, "default"): ("0x1.feeb42efd2fbfp+2", 5, "2d941ac819ee4079"),
+        (0, "random"): ("0x1.795889a850142p+2", 7, "2011d8428bd1b798"),
+        (1, "default"): ("0x1.b57ec6f0c6440p+2", 5, "1201f904a9064e6e"),
+        (1, "random"): ("0x1.9cfb73c14e26ap+2", 3, "956ceee8260424be"),
     }
 
     @pytest.mark.parametrize("seed", (0, 1))
@@ -390,8 +391,9 @@ class TestSolveGw:
         problem = GwProblem(random_space(rng, 3), random_space(rng, 3))
         error = NoConvergence("LP stopped short")
 
-        def failing(*args, **kwargs):
-            raise error
+        def failing(costs, h, g, model=None):
+            # the stacked call's one row fails
+            return np.zeros((1, 3, 3)), [error]
 
         monkeypatch.setattr(gw, "solve_exact_ot", failing)
         fgw = FgwProblem(problem, np.zeros((3, 3)), alpha=0.5)
@@ -515,9 +517,9 @@ class TestMultiInit:
                 built.append(self)
                 super().__init__(*args)
 
-        def recorded(cost, h, g, model=None):
-            out = solve_ot(cost, h, g, model=model)
-            lps.append((model, cost, out[0].plan))
+        def recorded(costs, h, g, model=None):
+            out = solve_ot(costs, h, g, model=model)
+            lps.append((model, costs, out[0]))
             return out
 
         monkeypatch.setattr(gw, "TransportLp", CountedLp)
@@ -526,21 +528,24 @@ class TestMultiInit:
         gw.solve_gw_multi_init(prob, MultiInitConfig(trials=6, seed=SeedPolicy(4)))
         # the default start alone, then the six random starts in one stack
         assert len(built) == 1 and [len(run) for run in runs] == [1, 6]
-        # every LP runs on the one HiGHS model, each start on its own branch
-        assert all(model._model is built[0]._model for model, _, _ in lps)
-        by_start = {}
-        for model, cost, plan in lps:
-            by_start.setdefault(model, []).append((cost, plan))
-        assert len(by_start) == 7 and built[0] not in by_start
-        # each start makes bitwise the LPs and the solution of its fresh solve
-        starts = [pair for run in runs for pair in run]
-        for (init, sol), start_lps in zip(starts, by_start.values()):
+        # every LP runs on a branch of the one model: one stacked call per
+        # Frank-Wolfe step, first the default start's, then the stack's
+        models = list(dict.fromkeys(model for model, _, _ in lps))
+        assert len(models) == 2 and built[0] not in models
+        assert all(model._corner is built[0]._corner for model in models)
+        stack = [(costs, plans) for model, costs, plans in lps if model is models[1]]
+        sols = [sol for _, sol in runs[1]]
+        assert len(stack) == max(sol.iterations for sol in sols)
+        # each start makes bitwise the LPs and the solution of its fresh
+        # solve: in step k it is the row after the earlier starts still going
+        for s, (init, sol) in enumerate(runs[1]):
             lps.clear()
             assert_same_solution(sol, gw.solve_gw(prob, init))
-            assert len(lps) == len(start_lps) == sol.iterations
-            for (_, cost, plan), (start_cost, start_plan) in zip(lps, start_lps):
-                assert np.array_equal(cost, start_cost)
-                assert np.array_equal(plan, start_plan)
+            assert len(lps) == sol.iterations
+            for k, (_, costs, plans) in enumerate(lps):
+                row = sum(other.iterations > k for other in sols[:s])
+                assert np.array_equal(costs[0], stack[k][0][row])
+                assert np.array_equal(plans[0], stack[k][1][row])
 
     def test_trials_on_one_model_match_fresh_solves_at_m4_size(self, monkeypatch):
         inst = generate_instance(InstanceSpec.named("M4", SeedPolicy(7, 12000)))
@@ -585,19 +590,33 @@ class TestMultiInit:
             assert np.array_equal(init.plan, alone.plan)
         assert sol.trial_of_origin != 2
 
-    def _flaky_lps(self, monkeypatch, fail):
+    def _flaky_lps(self, monkeypatch, fail, iterations):
         """Patch ``gw.solve_exact_ot`` so that ``fail(t, lp, cost)``, given
-        the start (0 the default, t trial t), its LP count so far and the
-        cost, may raise or swap the cost; returns the per-start LP counts."""
-        solve_ot, starts, lps = gw.solve_exact_ot, [], Counter()
+        the start (0 the default, t trial t), its LP count so far and its
+        row of the stacked costs, may raise or swap the row; a library error
+        it raises is that row's error. ``iterations[t]`` is start t's step
+        count in a clean run: a stack's rows are its starts still going, in
+        trial order. Returns the per-start LP counts."""
+        solve_ot, starts, lps = gw.solve_exact_ot, {}, Counter()
 
-        def flaky(cost, h, g, model=None):
+        def flaky(costs, h, g, model=None):
             if model not in starts:
-                starts.append(model)
-            t = starts.index(model)
-            lps[t] += 1
-            return solve_ot(fail(t, lps[t], cost), h, g, model=model)
+                starts[model] = [0] if not starts else list(range(1, len(model) + 1))
+            going = [t for t in starts[model] if lps[t] < iterations[t] and t not in failed]
+            assert len(going) == len(costs)
+            costs, raised = costs.copy(), {}
+            for row, t in enumerate(going):
+                lps[t] += 1
+                try:
+                    costs[row] = fail(t, lps[t], costs[row])
+                except GwqapError as exc:
+                    raised[row] = exc
+            plans, errors = solve_ot(costs, h, g, model=model)
+            errors = [raised.get(row, error) for row, error in enumerate(errors)]
+            failed.update(t for t, error in zip(going, errors) if error is not None)
+            return plans, errors
 
+        failed = set()
         monkeypatch.setattr(gw, "solve_exact_ot", flaky)
         return lps
 
@@ -616,10 +635,10 @@ class TestMultiInit:
                 raise NoConvergence("LP stalled")
             if t == 3:
                 cost = cost.copy()
-                cost[0, 0] = np.inf
+                cost[0] = np.inf
             return cost
 
-        lps = self._flaky_lps(monkeypatch, fail)
+        lps = self._flaky_lps(monkeypatch, fail, [sol.iterations for sol in clean])
         runs.clear()
         sol = solve_gw_multi_init(prob, config)
         assert sol.failed_trials == ((2, "NoConvergence"), (3, "NonFinite"))
@@ -640,7 +659,7 @@ class TestMultiInit:
                 raise ValueError("operands could not be broadcast together")
             return cost
 
-        self._flaky_lps(monkeypatch, fail)
+        self._flaky_lps(monkeypatch, fail, [FW_MAX_ITER] * 4)
         with pytest.raises(ValueError):
             solve_gw_multi_init(prob, MultiInitConfig(trials=3))
 

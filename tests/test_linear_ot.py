@@ -21,9 +21,9 @@ from gwqap import (
     w2_gaussian,
 )
 from gwqap import linear_ot
-from gwqap.core import MARGINAL_TOL, PROJECTION_DELTA
+from gwqap.core import MARGINAL_TOL, PROJECTION_DELTA, Coupling
 from gwqap.errors import (
-    DimensionMismatch, NoConvergence, NonSquare, NotPSD, NumericalUnderflow,
+    DimensionMismatch, NoConvergence, NonFinite, NonSquare, NotPSD, NumericalUnderflow,
     ValidationError,
 )
 from gwqap.linear_ot import TransportLp
@@ -119,9 +119,16 @@ class TestSolveExactOt:
         assert marginal_violation(coupling) == (0.0, 0.0)
 
 
+def _stacked(model, costs, h, g):
+    """The plans of a stacked ``solve_exact_ot`` call whose rows all solve."""
+    plans, errors = solve_exact_ot(costs, h, g, model=model)
+    assert errors == [None] * len(costs)
+    return plans
+
+
 class TestTransportLp:
     # (n, m, zero-mass atoms of h, of g): the generic case, then degenerate
-    # inputs, which the one HiGHS model solves like any other
+    # inputs, which the engine solves like any other
     CASES = [
         (6, 7, [], []),
         (6, 7, [2], []),
@@ -148,77 +155,223 @@ class TestTransportLp:
             model = TransportLp(h, g)
             for _ in range(8):
                 cost = rng.uniform(0, 10, size=(n, m))
-                coupling, obj = solve_exact_ot(cost, h, g, model=model)
+                (plan,) = _stacked(model, cost.reshape(1, -1), h, g)
                 ref = _transportation_lp(cost, h.weights, g.weights)
-                assert obj == pytest.approx(float((cost * ref).sum()), abs=1e-12)
-                assert np.count_nonzero(coupling.plan > 1e-15) <= n + m - 1
-                assert max(marginal_violation(coupling)) <= 1e-9
+                assert float((cost * plan).sum()) == pytest.approx(
+                    float((cost * ref).sum()), abs=1e-12
+                )
+                assert np.count_nonzero(plan > 1e-15) <= n + m - 1
+                assert max(marginal_violation(Coupling(plan, h, g))) <= 1e-9
 
     def test_cold_solve_equals_linprog_plan(self):
+        # the engine and HiGHS reach the same vertex of this LP; the plans
+        # they compute for it may differ in the last bits
         rng = np.random.default_rng(7)
         h, g = self._random(rng, 5, 5)
         cost = rng.uniform(0, 10, size=(5, 5))
-        coupling, _ = solve_exact_ot(cost, h, g)
-        assert np.array_equal(
-            coupling.plan, _transportation_lp(cost, h.weights, g.weights)
-        )
+        coupling, obj = solve_exact_ot(cost, h, g)
+        ref = _transportation_lp(cost, h.weights, g.weights)
+        assert np.array_equal(coupling.plan > 0, ref > 0)
+        assert obj == pytest.approx(float((cost * ref).sum()), rel=1e-12, abs=0)
 
-    def test_interleaved_starts_match_starts_alone_on_fresh_models(self):
-        # a plan depends only on the cost and the start's basis, so starts
-        # taking turns on one model in any order, and a start that left its
-        # model on another start's basis, each get bitwise the plans of that
-        # start solved alone on a fresh model
+    def test_stacked_starts_match_starts_alone_on_fresh_models(self):
+        # a plan depends only on the cost and the start's own basis, so each
+        # row of a stack, also once other starts have left it, is bitwise
+        # the plan of that start solved alone on a fresh model
         rng = np.random.default_rng(9)
         for n, m, zero_h, zero_g in self.CASES:
             h, g = self._random(rng, n, m, zero_h, zero_g)
-            costs = rng.uniform(0, 10, size=(4, 6, n, m))
+            costs = rng.uniform(0, 10, size=(4, 6, n * m))
             alone = []
             for start_costs in costs:
                 fresh = TransportLp(h, g)
-                alone.append([fresh.solve(c) for c in start_costs])
-            model = TransportLp(h, g)
-            starts = [model.branch() for _ in costs]
-            turns = [(s, k) for k in range(costs.shape[1]) for s in rng.permutation(len(costs))]
-            for s, k in turns:
-                assert np.array_equal(starts[s].solve(costs[s, k]), alone[s][k])
+                alone.append([_stacked(fresh, c[None], h, g)[0] for c in start_costs])
+            model = TransportLp(h, g).branch(4)
+            starts = [0, 1, 2, 3]
+            for k in range(costs.shape[1]):
+                if k == 3:
+                    starts = [3, 0, 2]
+                    model.keep(starts)
+                for plan, s in zip(_stacked(model, costs[starts, k], h, g), starts):
+                    assert np.array_equal(plan, alone[s][k])
 
     def test_new_start_stands_on_the_north_west_corner(self):
         # on a Monge cost the north-west-corner basis is optimal, so a solve
-        # that starts from it returns its plan without a simplex iteration:
-        # a fresh model's first solve, and a start branched from a model
-        # (or from a start) that other solves have moved on
+        # that starts from it returns its plan without a pivot: a fresh
+        # model's first solve, and a start branched from a model (or from a
+        # start) that other solves have moved on
         rng = np.random.default_rng(3)
         for n, m, zero_h, zero_g in self.CASES:
             h, g = self._random(rng, n, m, zero_h, zero_g)
             x, y = np.sort(rng.random(n)), np.sort(rng.random(m))
             monge = (x[:, None] - y[None, :]) ** 2
-            model = TransportLp(h, g)
-            start = model
+            start = TransportLp(h, g)
             for _ in range(3):
-                plan = start.solve(monge)
-                assert model._model.getInfo().simplex_iteration_count == 0
+                (plan,) = _stacked(start, monge.reshape(1, -1), h, g)
+                assert (start.pivots.tolist(), start.rounds) == ([0], 1)
                 assert np.allclose(
                     plan, _north_west_plan(h.weights, g.weights), rtol=0, atol=1e-15
                 )
-                start.solve(rng.uniform(0, 10, size=(n, m)))  # moves the basis
+                # moves the basis
+                _stacked(start, rng.uniform(0, 10, size=(1, n * m)), h, g)
                 start = start.branch()
 
     def test_model_of_other_marginals_is_refused(self):
         # a model keeps the marginals it was built for: solving other ones
-        # on it would return a coupling declared on (h, g) that holds the
-        # model's marginals, or read costs past the end of the cost matrix
+        # on it would return plans of the model's marginals for (h, g), or
+        # read costs past the end of a row
         rng = np.random.default_rng(5)
         h, g = self._random(rng, 4, 5)
-        cost = rng.uniform(0, 10, size=(4, 5))
+        costs = rng.uniform(0, 10, size=(1, 20))
         with pytest.raises(ValidationError) as refused:
-            solve_exact_ot(cost, h, g, model=TransportLp(*self._random(rng, 4, 5)))
+            solve_exact_ot(costs, h, g, model=TransportLp(*self._random(rng, 4, 5)))
         assert not isinstance(refused.value, DimensionMismatch)
         with pytest.raises(DimensionMismatch):
-            solve_exact_ot(cost, h, g, model=TransportLp(*self._random(rng, 6, 7)))
+            solve_exact_ot(costs, h, g, model=TransportLp(*self._random(rng, 6, 7)))
+        # a stack needs one row of n*m costs per start
+        for wrong in (np.tile(costs, (2, 1)), costs.reshape(4, 5)):
+            with pytest.raises(DimensionMismatch):
+                solve_exact_ot(wrong, h, g, model=TransportLp(h, g))
         # equal weights in other Histogram objects are the same marginals
         twin = TransportLp(Histogram(h.weights.copy()), Histogram(g.weights.copy()))
-        coupling, _ = solve_exact_ot(cost, h, g, model=twin.branch())
-        assert np.array_equal(coupling.plan, solve_exact_ot(cost, h, g)[0].plan)
+        (plan,) = _stacked(twin.branch(), costs, h, g)
+        assert np.array_equal(plan, solve_exact_ot(costs.reshape(4, 5), h, g)[0].plan)
+
+    def test_inverse_stays_that_of_the_basis(self):
+        # the pivots update each start's integral inverse exactly
+        rng = np.random.default_rng(13)
+        for n, m, zero_h, zero_g in self.CASES:
+            h, g = self._random(rng, n, m, zero_h, zero_g)
+            model = TransportLp(h, g).branch(3)
+            for _ in range(4):
+                _stacked(model, rng.uniform(0, 10, size=(3, n * m)), h, g)
+                for cells, inverse in zip(model._basis, model._inverse):
+                    assert np.array_equal(inverse, linear_ot._tree_inverse(cells, n, m))
+                    basis = np.zeros((n + m, n + m - 1))
+                    basis[cells // m, np.arange(n + m - 1)] = 1.0
+                    basis[n + cells % m, np.arange(n + m - 1)] = 1.0
+                    assert np.array_equal(
+                        inverse[:, :-1] @ basis[:-1], np.eye(n + m - 1, dtype=np.int8)
+                    )
+
+
+def _composition(rng, total, parts):
+    """``parts`` nonnegative integers summing to ``total``, zeros allowed."""
+    cuts = np.sort(rng.integers(0, total + 1, size=parts - 1))
+    return np.diff(np.concatenate([[0], cuts, [total]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    masses=st.sampled_from(["random", "zero-mass", "integer"]),
+    integer_costs=st.booleans(),
+)
+def test_engine_matches_linprog(n, m, seed, masses, integer_costs):
+    # "integer" draws both marginals as compositions of one total, so their
+    # partial sums tie and the vertices carry zeros on their trees;
+    # integer costs tie reduced costs
+    rng = np.random.default_rng(seed)
+    if masses == "integer":
+        total = int(rng.integers(1, 3 * max(n, m)))
+        h, g = _composition(rng, total, n), _composition(rng, total, m)
+    else:
+        h, g = rng.random(n) + 0.2, rng.random(m) + 0.2
+        if masses == "zero-mass":
+            h[rng.random(n) < 0.3], g[rng.random(m) < 0.3] = 0.0, 0.0
+            h[rng.integers(n)], g[rng.integers(m)] = 1.0, 1.0
+    h, g = normalize_masses(h), normalize_masses(g)
+    costs = rng.integers(0, 4, size=(2, 3, n * m)) if integer_costs else rng.uniform(0, 10, size=(2, 3, n * m))
+    stack = TransportLp(h, g).branch(3)
+    alone = [TransportLp(h, g) for _ in range(3)]
+    for round_costs in costs:
+        plans = _stacked(stack, round_costs, h, g)
+        assert stack.rounds == stack.pivots.max() + 1
+        for t, (plan, cost) in enumerate(zip(plans, round_costs)):
+            assert np.array_equal(plan, _stacked(alone[t], cost[None], h, g)[0])
+            c = cost.reshape(n, m)
+            ref = float((c * _transportation_lp(c, h.weights, g.weights)).sum())
+            assert abs(float((c * plan).sum()) - ref) <= 1e-12 * max(abs(ref), 1.0)
+            assert max(marginal_violation(Coupling(plan, h, g))) <= 1e-9
+            assert np.count_nonzero(plan) <= n + m - 1
+
+
+class TestDegenerateLps:
+    @pytest.mark.parametrize("n", [2, 5, 12, 20])
+    def test_uniform_square_lps_match_the_lap(self, n):
+        # every vertex of the uniform n x n polytope is a scaled permutation,
+        # n of its 2n-1 basic values positive, so most pivots are degenerate
+        rng = np.random.default_rng(n)
+        h = normalize_masses(np.ones(n))
+        costs = np.concatenate([
+            rng.uniform(0, 10, size=(3, n * n)), rng.integers(0, 3, size=(3, n * n)),
+        ])
+        model = TransportLp(h, h).branch(len(costs))
+        for cost, plan in zip(costs, _stacked(model, costs, h, h)):
+            c = cost.reshape(n, n)
+            assert float((c * plan).sum()) == pytest.approx(solve_lap(c)[1] / n, rel=1e-12)
+        assert model.pivots.max() < model.max_pivots
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_capacities_with_equal_partial_sums_match_linprog(self, seed):
+        # integer capacities and demands cut from one total at shared points:
+        # many partial sums of h equal partial sums of g
+        rng = np.random.default_rng(seed)
+        total = 40
+        shared = rng.choice(np.arange(1, total), size=6, replace=False)
+        points = [np.concatenate([[0, total], shared, rng.choice(np.arange(1, total), 4)])
+                  for _ in range(2)]
+        h, g = (normalize_masses(np.diff(np.unique(p))) for p in points)
+        n, m = h.n, g.n
+        costs = rng.uniform(0, 10, size=(4, n * m))
+        model = TransportLp(h, g).branch(4)
+        for cost, plan in zip(costs, _stacked(model, costs, h, g)):
+            c = cost.reshape(n, m)
+            ref = float((c * _transportation_lp(c, h.weights, g.weights)).sum())
+            assert float((c * plan).sum()) == pytest.approx(ref, rel=1e-12)
+        assert model.pivots.max() < model.max_pivots
+
+    def test_only_the_capped_row_fails(self):
+        # rows near a Monge cost need few pivots from the north-west corner,
+        # the random row 1 more: a cap between them stops row 1 alone
+        rng = np.random.default_rng(11)
+        h, g = normalize_masses(rng.random(6) + 0.2), normalize_masses(rng.random(7) + 0.2)
+        x, y = np.sort(rng.random(6)), np.sort(rng.random(7))
+        costs = (x[:, None] - y[None, :]).ravel() ** 2 + rng.uniform(0, 0.05, size=(4, 42))
+        costs[1] = rng.uniform(0, 10, size=42)
+        pivots = []
+        for cost in costs:
+            alone = TransportLp(h, g)
+            _stacked(alone, cost[None], h, g)
+            pivots.append(int(alone.pivots[0]))
+        capped = int(np.argmax(pivots))
+        cap = sorted(pivots)[-2]
+        assert pivots[capped] > cap
+        model = TransportLp(h, g).branch(4)
+        model.max_pivots = cap
+        plans, errors = solve_exact_ot(costs, h, g, model=model)
+        assert [type(e) for e in errors] == [
+            NoConvergence if t == capped else type(None) for t in range(4)
+        ]
+        assert "pivot cap" in str(errors[capped]) and not plans[capped].any()
+        assert model.pivots[capped] == cap
+        for t in range(4):
+            if t != capped:
+                alone = TransportLp(h, g)
+                assert np.array_equal(plans[t], _stacked(alone, costs[t, None], h, g)[0])
+
+    def test_non_finite_row_fails_alone(self):
+        rng = np.random.default_rng(12)
+        h, g = normalize_masses(rng.random(4) + 0.2), normalize_masses(rng.random(3) + 0.2)
+        costs = rng.uniform(0, 10, size=(3, 12))
+        costs[1, 5] = np.nan
+        plans, errors = solve_exact_ot(costs, h, g, model=TransportLp(h, g).branch(3))
+        assert isinstance(errors[1], NonFinite) and not plans[1].any()
+        for t in (0, 2):
+            assert errors[t] is None
+            assert np.array_equal(plans[t], solve_exact_ot(costs[t].reshape(4, 3), h, g)[0].plan)
 
 
 def _north_west_plan(h, g):
@@ -263,8 +416,6 @@ def _backend_references(tree):
 _HIGHS_HOLDERS = {
     "_highs_model": {"lp": "HighsLp", "model": "_Highs"},
     "_highs_solution": {"model": "_Highs"},
-    "_north_west_basis": {"basis": "HighsBasis"},
-    "TransportLp": {"_model": "_Highs"},
 }
 
 
@@ -299,11 +450,11 @@ def test_linear_ot_uses_only_bindings_the_installed_scipy_has():
 
     uses = set(_binding_uses(ast.parse(Path(linear_ot.__file__).read_text())))
     assert [name for name in sorted(uses) if lookup(name) is None] == []
-    # the bindings of the start basis and of the per-start solve are among
+    # the bindings that build, run and read the rounding MILP are among
     # those checked
     assert {
-        "HighsBasis", "HighsBasisStatus.kBasic", "_Highs.setBasis",
-        "_Highs.clearSolver", "_Highs.getBasis",
+        "HighsLp", "HighsVarType.kInteger", "MatrixFormat.kColwise", "_Highs.passModel",
+        "_Highs.run", "_Highs.getModelStatus", "_Highs.getSolution",
     } <= uses
 
 
@@ -334,20 +485,15 @@ def test_installed_highs_accepts_every_option_linear_ot_sets():
     ]
     assert refused == []
     assert {
-        "output_flag", "solver", "simplex_strategy", "mip_pool_soft_limit",
-        "mip_heuristic_run_feasibility_jump",
+        "output_flag", "mip_pool_soft_limit", "mip_heuristic_run_feasibility_jump",
     } <= set(options)
 
 
 def test_lp_stopped_short_raises_no_convergence(monkeypatch):
-    # with no simplex iterations allowed HiGHS stops on the north-west-corner
-    # basis, which is not optimal for this cost
-    build = linear_ot._highs_model
-    monkeypatch.setattr(
-        linear_ot, "_highs_model",
-        lambda *args, **options: build(*args, **options, simplex_iteration_limit=0),
-    )
-    with pytest.raises(NoConvergence, match="transportation LP failed: Iteration limit"):
+    # with no pivots allowed the solve stops on the north-west-corner basis,
+    # which is not optimal for this cost
+    monkeypatch.setattr(linear_ot, "_PIVOTS_PER_CELL", 0)
+    with pytest.raises(NoConvergence, match="transportation LP 0 reached the pivot cap"):
         solve_exact_ot([[4.0, 1.0], [2.0, 3.0]], UNIF2, UNIF2)
 
 
