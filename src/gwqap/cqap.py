@@ -207,14 +207,16 @@ def round_coupling(inst: CqapInstance, plan: Coupling) -> AssignmentMatrix:
     which part of task j each agent holds. The rounding is the assignment
     nearest to Y in Frobenius norm under the CQAP's capacity constraints
     that leaves the fewest tasks uncovered: a generalized assignment
-    problem that ``linear_ot.nearest_capacity_assignment`` solves exactly
-    as one HiGHS MILP. When several assignments are equally near, HiGHS's
-    search picks the one returned, so a HiGHS release or a solver option
-    can change the pick. A descent then moves one task to another agent,
-    or swaps the agents of two tasks, while that lowers the CQAP objective
-    and keeps every load within capacity. On an instance no assignment
-    satisfies, the result covers as many tasks as possible and
-    check_feasible reports the rest.
+    problem that ``linear_ot.nearest_capacity_assignment`` solves exactly:
+    it returns the nearest admissible agent of each task when that read-off
+    is feasible and no runner-up comes within a tie margin of it, and solves
+    one HiGHS MILP otherwise. Only then, when several assignments are
+    equally near, HiGHS's search picks the one returned, so a HiGHS release
+    or a solver option can change the pick. A descent then moves one task
+    to another agent, or swaps the agents of two tasks, while that lowers
+    the CQAP objective and keeps every load within capacity. On an
+    instance no assignment satisfies, the result covers as many tasks as
+    possible and check_feasible reports the rest.
     """
     p = _as_matrix(plan.plan, (inst.n, inst.m), "plan")
     col = p.sum(axis=0)

@@ -9,10 +9,11 @@ and are penalized in the fitness.
 `solve_ga` decodes and scores each distinct priority once per run (and
 decodes the winner once more to return it), so its cost grows with the
 number of distinct chromosomes it meets rather than with population x
-generations. Each generation draws all its random numbers in three numpy
-calls, one row per child whether the row is used or not: the tournament
-entrants, the crossover and mutation tests, and the two cut and two swap
-positions. A 50 x 50 run on S1/S2 takes about 6 ms (2 vCPUs, shared).
+generations. The population is an int64 (P, m) array, and each generation
+builds all P - 1 children with array operations from three numpy draws,
+one row per child whether the row is used or not: the tournament entrants,
+the crossover and mutation tests, and the two cut and two swap positions.
+A 50 x 50 run on S1/S2 takes about 5 ms (2 vCPUs, shared).
 
 Only the population and generation count are settings; the rates and the
 tournament size are module constants. Tournaments draw with replacement, so
@@ -60,20 +61,29 @@ def decode(inst: CqapInstance, priority) -> AssignmentMatrix:
     return AssignmentMatrix(x)
 
 
-def _order_crossover(p1: tuple, p2: tuple, a: int, b: int) -> tuple:
-    """OX: the child keeps p1 between cut positions a and b (either order,
-    both included) and fills the rest with p2's other tasks in p2's order."""
-    a, b = min(a, b), max(a, b)
-    keep = set(p1[a : b + 1])
-    fill = [t for t in p2 if t not in keep]
-    fill[a:a] = p1[a : b + 1]
-    return tuple(fill)
+def _order_crossover_rows(p1: np.ndarray, p2: np.ndarray, a, b, cross) -> np.ndarray:
+    """OX on rows: where ``cross`` holds, child k keeps p1[k] between cut
+    positions a[k] and b[k] (either order, both included) and fills the rest
+    with p2[k]'s other tasks in p2[k]'s order; elsewhere it is p1[k]."""
+    rows = np.arange(len(p1))[:, None]
+    pos = np.arange(p1.shape[1])
+    segment = (pos >= np.minimum(a, b)[:, None]) & (pos <= np.maximum(a, b)[:, None])
+    segment |= ~cross[:, None]
+    kept = np.zeros_like(segment)
+    kept[rows, p1] = segment
+    child = p1.copy()
+    # each row has as many free positions as fill tasks, so the row-major
+    # order of both masks pairs them row by row, in order
+    child[~segment] = p2[~kept[rows, p2]]
+    return child
 
 
-def _swap_mutation(p: tuple, i: int, j: int) -> tuple:
-    q = list(p)
-    q[i], q[j] = q[j], q[i]
-    return tuple(q)
+def _swap_mutation_rows(p: np.ndarray, i, j, mutate) -> np.ndarray:
+    """Swap positions i[k] and j[k] of each row k where ``mutate`` holds."""
+    q = p.copy()
+    k = np.flatnonzero(mutate)
+    q[k, i[k]], q[k, j[k]] = p[k, j[k]], p[k, i[k]]
+    return q
 
 
 def solve_ga(
@@ -86,41 +96,44 @@ def solve_ga(
     """
     rng = config.seed.generator()
     P, m = config.population, inst.m
-    pop = [tuple(rng.permutation(m).tolist()) for _ in range(P)]
+    pop = np.array([rng.permutation(m) for _ in range(P)], dtype=np.int64)
 
-    # priority -> fitness, for this run only. Assignments are not kept: at
+    # row bytes -> fitness, for this run only. Assignments are not kept: at
     # n x m integers per distinct priority they would outgrow the population
     # on large instances, so the winner is decoded once more at the end.
-    seen: dict[tuple, float] = {}
+    seen: dict[bytes, float] = {}
 
-    def fitness(p):
-        if p not in seen:
-            x = decode(inst, p)
-            unassigned = int((x.x.sum(axis=0) == 0).sum())
-            seen[p] = cqap_objective(inst, x) + UNASSIGNED_PENALTY * unassigned
-        return seen[p]
+    def fitness(key):
+        x = decode(inst, _priority(key))
+        unassigned = int((x.x.sum(axis=0) == 0).sum())
+        return cqap_objective(inst, x) + UNASSIGNED_PENALTY * unassigned
 
     history = []
     for generation in range(config.generations + 1):
         if generation:
             # every child's numbers, drawn whether they are used or not
             entrants = rng.integers(0, P, size=(P - 1, 2, TOURNAMENT_SIZE))
-            tests = rng.random((P - 1, 2)) < (CROSSOVER_RATE, MUTATION_RATE)
-            cuts = rng.integers(0, m, size=(P - 1, 4))
+            cross, mutate = (rng.random((P - 1, 2)) < (CROSSOVER_RATE, MUTATION_RATE)).T
+            a, b, i, j = rng.integers(0, m, size=(P - 1, 4)).T
             # rank by (fitness, index): a tournament goes to its fittest
             # entrant, ties to the lower index
             order = np.argsort(fits, kind="stable")
             rank = np.argsort(order)
-            parents = order[rank[entrants].min(axis=2)]
-            children = [pop[order[0]]]  # elitism
-            for (i1, i2), (cross, mutate), (a, b, i, j) in zip(
-                parents.tolist(), tests.tolist(), cuts.tolist()
-            ):
-                child = _order_crossover(pop[i1], pop[i2], a, b) if cross else pop[i1]
-                children.append(_swap_mutation(child, i, j) if mutate else child)
-            pop = children
-        fits = np.array([fitness(p) for p in pop])
+            p1, p2 = pop[order[rank[entrants].min(axis=2)].T]
+            children = _order_crossover_rows(p1, p2, a, b, cross)
+            children = _swap_mutation_rows(children, i, j, mutate)
+            pop = np.concatenate([pop[order[:1]], children])  # elitism
+        keys = pop.view(np.dtype((np.void, 8 * m))).ravel().tolist()
+        for key in keys:
+            if key not in seen:
+                seen[key] = fitness(key)
+        fits = np.array([seen[key] for key in keys])
         history.append(float(fits.min()))  # elitism keeps this non-increasing
 
-    best_x = decode(inst, pop[int(np.argmin(fits))])
+    best_x = decode(inst, _priority(keys[int(np.argmin(fits))]))
     return best_x, cqap_objective(inst, best_x), np.array(history)
+
+
+def _priority(key: bytes) -> tuple:
+    """The task priority a population row's bytes hold, as Python ints."""
+    return tuple(np.frombuffer(key, dtype=np.int64).tolist())

@@ -446,18 +446,35 @@ def _highs_solution(model, what: str) -> np.ndarray:
     return np.array(model.getSolution().col_value)
 
 
+# A task's runner-up agent within this of its best (or of zero) counts as
+# tied, and the rounding MILP settles it: HiGHS treats reduced costs within
+# its dual feasibility tolerance (1e-7) as zero.
+_TIE_MARGIN = 1e-6
+
+
 def nearest_capacity_assignment(shares, u, d) -> np.ndarray:
     """Binary x (n, m) within the capacities u minimizing first the number
-    of tasks of demand d it leaves uncovered, then ||x - shares||^2; one
-    HiGHS MILP over x (n*m) and z (m), z_j = 1 marking task j uncovered.
+    of tasks of demand d it leaves uncovered, then ||x - shares||^2.
 
     For binary x and Y = shares, ||x - Y||^2 = sum x (1 - 2Y) + const, a
     sum that moves by less than 2nm + 1, the cost of one uncovered task.
+    An agent can hold task j only if u_i >= d_j, and task j costs the sum
+    of 1 - 2Y over the agents holding it. So when every task has such an
+    agent whose cost each other such agent exceeds, and exceeds zero, by
+    over _TIE_MARGIN, and those agents' loads fit, giving each task that
+    agent is the unique optimum and is returned without a solver.
+    Otherwise one HiGHS MILP over x (n*m) and z (m), z_j = 1 marking task
+    j uncovered, gives the answer, and among equally near assignments
+    HiGHS's search picks the one returned.
     """
     n, m = shares.shape
     u = np.asarray(u, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    cost = np.concatenate([(1.0 - 2.0 * shares).ravel(), np.full(m, 2.0 * n * m + 1.0)])
+    cost = 1.0 - 2.0 * shares
+    x = _cheapest_admissible(cost, u, d)
+    if x is not None:
+        return x
+    cost = np.concatenate([cost.ravel(), np.full(m, 2.0 * n * m + 1.0)])
     # HiGHS's default cut and conflict pools (10^4 entries) raised the
     # process's peak memory by about 10 MB over a few dozen 20 x 20
     # roundings; a small pool leaves the solve exact. The feasibility-jump
@@ -473,6 +490,27 @@ def nearest_capacity_assignment(shares, u, d) -> np.ndarray:
     )
     x = _highs_solution(model, "rounding MILP")[: n * m]
     return np.rint(x).reshape(n, m).astype(np.int64)
+
+
+def _cheapest_admissible(cost, u, d) -> np.ndarray | None:
+    """x giving each task j the agent i with u_i >= d_j of least cost[i, j],
+    if every task has one, each runner-up costs over _TIE_MARGIN more than
+    max(best, 0), and the loads fit the capacities u; else None."""
+    n, m = cost.shape
+    c = np.where(u[:, None] >= d[None, :], cost, np.inf)
+    tasks = np.arange(m)
+    best = c.argmin(axis=0)
+    first = c[best, tasks]
+    c[best, tasks] = np.inf
+    if not (
+        np.isfinite(first).all()
+        and (c.min(axis=0) > np.maximum(first, 0.0) + _TIE_MARGIN).all()
+        and (np.bincount(best, weights=d, minlength=n) <= u).all()
+    ):
+        return None
+    x = np.zeros((n, m), dtype=np.int64)
+    x[best, tasks] = 1
+    return x
 
 
 def sinkhorn(

@@ -16,7 +16,7 @@ from gwqap import (
 import gwqap.ga
 from gwqap.cqap import AssignmentMatrix, placements
 from gwqap.errors import ValidationError
-from gwqap.ga import UNASSIGNED_PENALTY, _order_crossover, _swap_mutation
+from gwqap.ga import UNASSIGNED_PENALTY, _order_crossover_rows, _swap_mutation_rows
 from tests.test_cqap import make_instance
 
 
@@ -152,31 +152,75 @@ class TestDecode:
         assert np.array_equal(first, [[3.0, 3.0, 3.0], [7.0, 7.0, 7.0]])
 
 
+def _tuple_order_crossover(p1: tuple, p2: tuple, a: int, b: int) -> tuple:
+    """OX on one pair of tuples, as the generation loop once ran it per child:
+    keep p1 between a and b (either order, both included) and fill the rest
+    with p2's other tasks in p2's order."""
+    a, b = min(a, b), max(a, b)
+    keep = set(p1[a : b + 1])
+    fill = [t for t in p2 if t not in keep]
+    fill[a:a] = p1[a : b + 1]
+    return tuple(fill)
+
+
 class TestOperators:
     def test_permutation_invariant_preserved(self):
         # every cut and swap position for m <= 6, on every parent pair up to
-        # m = 4 and on 20 x 20 of them after that
+        # m = 4 and on 20 x 20 of them after that, all as rows of one call
         for m in range(1, 7):
-            target = tuple(range(m))
-            perms = list(itertools.permutations(target))
+            target = list(range(m))
+            perms = np.array(list(itertools.permutations(target)), dtype=np.int64)
             parents = perms[:: max(1, len(perms) // 20)]
-            positions = list(itertools.product(range(m), repeat=2))
-            for p1, p2 in itertools.product(parents, repeat=2):
-                for a, b in positions:
-                    child = _order_crossover(p1, p2, a, b)
-                    assert type(child) is tuple
-                    assert tuple(sorted(child)) == target
-                    lo, hi = min(a, b), max(a, b)
-                    assert child[lo : hi + 1] == p1[lo : hi + 1]
-                    rest = [t for t in p2 if t not in p1[lo : hi + 1]]
-                    assert list(child[:lo] + child[hi + 1 :]) == rest
-            for p in perms:
-                for i, j in positions:
-                    child = _swap_mutation(p, i, j)
-                    assert type(child) is tuple
-                    assert tuple(sorted(child)) == target
-                    assert (child[i], child[j]) == (p[j], p[i])
-                    assert all(child[k] == p[k] for k in range(m) if k not in (i, j))
+            positions = np.array(list(itertools.product(range(m), repeat=2)))
+            pairs = np.array(list(itertools.product(range(len(parents)), repeat=2)))
+            k = len(positions)
+            p1 = np.repeat(parents[pairs[:, 0]], k, axis=0)
+            p2 = np.repeat(parents[pairs[:, 1]], k, axis=0)
+            a, b = np.tile(positions, (len(pairs), 1)).T
+            lows, highs = np.minimum(a, b), np.maximum(a, b)
+            for cross in (True, False):
+                children = _order_crossover_rows(p1, p2, a, b, np.full(len(p1), cross))
+                assert children.dtype == np.int64 and children.shape == p1.shape
+                for c, q1, q2, lo, hi in zip(children, p1, p2, lows, highs):
+                    assert sorted(c.tolist()) == target
+                    if not cross:
+                        assert np.array_equal(c, q1)
+                        continue
+                    assert np.array_equal(c[lo : hi + 1], q1[lo : hi + 1])
+                    rest = [t for t in q2.tolist() if t not in q1[lo : hi + 1]]
+                    assert np.concatenate([c[:lo], c[hi + 1 :]]).tolist() == rest
+            p = np.repeat(perms, k, axis=0)
+            i, j = np.tile(positions, (len(perms), 1)).T
+            for mutate in (True, False):
+                children = _swap_mutation_rows(p, i, j, np.full(len(p), mutate))
+                assert children.dtype == np.int64
+                for c, q, ci, cj in zip(children, p, i, j):
+                    assert sorted(c.tolist()) == target
+                    if not mutate:
+                        assert np.array_equal(c, q)
+                        continue
+                    assert (c[ci], c[cj]) == (q[cj], q[ci])
+                    assert all(c[t] == q[t] for t in range(m) if t not in (ci, cj))
+
+    def test_rows_match_the_tuple_operators(self):
+        # random populations, cut positions and tests: each row is what the
+        # per-child tuple OX and swap make of it
+        rng = np.random.default_rng(30)
+        for m in (1, 2, 3, 5, 8, 13):
+            rows = 200
+            p1 = np.array([rng.permutation(m) for _ in range(rows)])
+            p2 = np.array([rng.permutation(m) for _ in range(rows)])
+            a, b, i, j = rng.integers(0, m, size=(rows, 4)).T
+            cross, mutate = (rng.random((rows, 2)) < 0.5).T
+            children = _swap_mutation_rows(
+                _order_crossover_rows(p1, p2, a, b, cross), i, j, mutate
+            )
+            for k in range(rows):
+                q1, q2 = tuple(p1[k].tolist()), tuple(p2[k].tolist())
+                want = list(_tuple_order_crossover(q1, q2, a[k], b[k]) if cross[k] else q1)
+                if mutate[k]:
+                    want[i[k]], want[j[k]] = want[j[k]], want[i[k]]
+                assert children[k].tolist() == want
 
 
 class TestSolveGa:

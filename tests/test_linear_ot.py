@@ -508,6 +508,68 @@ def test_highs_model_raises_on_a_refused_option(option, value):
         )
 
 
+def _rounding_milp(shares, u, d):
+    """nearest_capacity_assignment with the read-off turned off: the MILP."""
+    with mock.patch.object(linear_ot, "_cheapest_admissible", lambda cost, u, d: None):
+        return linear_ot.nearest_capacity_assignment(shares, u, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    quarters=st.booleans(),
+    columns_sum_to_one=st.booleans(),
+)
+def test_rounding_read_off_equals_the_milp(n, m, seed, quarters, columns_sum_to_one):
+    # shares on a grid of quarters tie often; shares whose columns do not
+    # sum to one can make two agents both worth taking
+    rng = np.random.default_rng(seed)
+    shares = rng.random((n, m))
+    if quarters:
+        shares = np.round(4 * shares) / 4
+    if columns_sum_to_one:
+        col = shares.sum(axis=0)
+        shares = np.divide(shares, col, out=np.zeros_like(shares), where=col > 0)
+    u = rng.integers(1, 7, n)
+    d = rng.integers(1, 7, m)
+    fired = linear_ot._cheapest_admissible(1.0 - 2.0 * shares, u * 1.0, d * 1.0)
+    got = linear_ot.nearest_capacity_assignment(shares, u, d)
+    if fired is not None:
+        assert got.dtype == np.int64
+        assert np.array_equal(got, fired)
+        assert np.array_equal(got, _rounding_milp(shares, u, d))
+
+
+class TestRoundingReadOff:
+    # (shares, u, d, the assignment returned, whether HiGHS builds a model)
+    CASES = {
+        "certified": ([[0.8, 0.1, 0.0], [0.2, 0.9, 0.3], [0.0, 0.0, 0.7]], [5, 5, 5], [1, 2, 3],
+                      [[1, 0, 0], [0, 1, 0], [0, 0, 1]], False),
+        "one-agent": ([[1.0, 1.0]], [4], [2, 2], [[1, 1]], False),
+        "near-tie": ([[0.5 + 1e-7], [0.5 - 1e-7]], [1, 1], [1], [[1], [0]], True),
+        "over-capacity": ([[1.0, 0.9], [0.0, 0.1]], [1, 2], [1, 1], [[1, 0], [0, 1]], True),
+        "no-agent-holds-a-task": ([[0.6, 0.4], [0.4, 0.6]], [2, 1], [2, 3], [[1, 0], [0, 0]], True),
+    }
+
+    @pytest.mark.parametrize("shares,u,d,want,built", list(CASES.values()), ids=list(CASES))
+    def test_only_an_uncertified_read_off_builds_a_model(
+        self, shares, u, d, want, built, monkeypatch
+    ):
+        models = []
+        build = linear_ot._highs_model
+
+        def counting(*args, **kwargs):
+            models.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(linear_ot, "_highs_model", counting)
+        x = linear_ot.nearest_capacity_assignment(np.array(shares), u, d)
+        assert x.tolist() == want
+        assert len(models) == built
+
+
 def test_only_linear_ot_talks_to_the_solver_backend():
     # linear_ot alone imports scipy, builds HiGHS models and calls scipy's
     # LP/MILP solvers, and no module reaches into its private helpers
