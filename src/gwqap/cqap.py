@@ -207,10 +207,13 @@ def round_coupling(inst: CqapInstance, plan: Coupling) -> AssignmentMatrix:
     which part of task j each agent holds. The rounding is the assignment
     nearest to Y in Frobenius norm under the CQAP's capacity constraints
     that leaves the fewest tasks uncovered: a generalized assignment
-    problem that ``linear_ot.nearest_capacity_assignment`` solves exactly:
-    it returns the nearest admissible agent of each task when that read-off
-    is feasible and no runner-up comes within a tie margin of it, and solves
-    one HiGHS MILP otherwise. Only then, when several assignments are
+    problem that ``linear_ot.nearest_capacity_assignment`` solves. It
+    returns the nearest admissible agent of each task when that read-off
+    is feasible and no runner-up comes within a tie margin of it (then the
+    unique optimum), and solves one HiGHS MILP otherwise. HiGHS stops at
+    its default relative gap (``mip_rel_gap``, 1e-4 of an objective that
+    counts 2nm + 1 per uncovered task), so its answer can be slightly
+    farther from Y than the nearest one; when several assignments are
     equally near, HiGHS's search picks the one returned, so a HiGHS release
     or a solver option can change the pick. A descent then moves one task
     to another agent, or swaps the agents of two tasks, while that lowers
@@ -230,7 +233,10 @@ def _descend(inst: CqapInstance, x: np.ndarray) -> np.ndarray:
 
     A move gives task j to a single agent k; a swap exchanges the agents of
     two tasks that each have one. Objective changes come from
-    G = F x D, updated in O(nm) per accepted step.
+    G = F x D, updated in O(nm) per accepted step. The swaps of the
+    single-agent tasks J, held by agents s, form a grid read straight out
+    of G, C, F and D by fancy indices (G[s[:, None], J[None, :]]); each
+    pair a < b of tasks on different agents counts once.
     """
     F = inst.flow.entries
     D = inst.distance.entries
@@ -266,12 +272,13 @@ def _descend(inst: CqapInstance, x: np.ndarray) -> np.ndarray:
         J = np.flatnonzero(single)
         if J.size > 1:
             s = np.argmax(x[:, J], axis=0)
-            Gs = G[np.ix_(s, J)]  # Gs[a, b] = G[s_a, J_b]
-            Cs = C[np.ix_(s, J)]
+            rows, cols = s[:, None], J[None, :]
+            Gs = G[rows, cols]  # Gs[a, b] = G[s_a, J_b]
+            Cs = C[rows, cols]
             gd = np.diag(Gs)
             cd = np.diag(Cs)
-            Dj = D[np.ix_(J, J)]
-            phi = diag_f[s][:, None] + diag_f[s][None, :] - 2.0 * F[np.ix_(s, s)]
+            Dj = D[J[:, None], cols]
+            phi = diag_f[s][:, None] + diag_f[s][None, :] - 2.0 * F[rows, s[None, :]]
             swap = (
                 2.0 * (Gs.T - gd[:, None] - gd[None, :] + Gs)
                 + phi * (diag_d[J][:, None] + diag_d[J][None, :] - 2.0 * Dj)
@@ -282,8 +289,8 @@ def _descend(inst: CqapInstance, x: np.ndarray) -> np.ndarray:
             ok = (lj[:, None] + dj[None, :] <= u[s][:, None]) & (
                 lj[None, :] + dj[:, None] <= u[s][None, :]
             )
-            ok &= s[:, None] != s[None, :]
-            ok &= np.triu(np.ones_like(ok), 1)
+            rank = np.arange(J.size)
+            ok &= (s[:, None] != s[None, :]) & (rank[:, None] < rank[None, :])
             swap[~ok] = np.inf
             a, b = np.unravel_index(np.argmin(swap), swap.shape)
             if swap[a, b] < best:

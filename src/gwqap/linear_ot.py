@@ -100,21 +100,24 @@ class TransportLp:
     primal feasible, and Frank-Wolfe changes only the costs.
 
     ``solve`` runs the starts in rounds. Each round prices every cell of
-    every active start in one numpy operation and pivots each start once:
-    the most negative reduced cost enters (Dantzig's rule), the ratio test
-    picks the leaving cell on its cycle, the inverse takes the rank-one
-    update of the cycle (rows off it subtract zero) and the duals move by
-    the leaving cell's row of the inverse. After n*m rounds a solve keeps
-    to Bland's rule (first negative cell in, smallest cell out among ties),
-    so it cannot cycle; after ``max_pivots`` (_PIVOTS_PER_CELL * n * m)
-    pivots a start fails with NoConvergence. A start that looks optimal on
-    its updated duals recomputes them from its basis and prices again; it
-    leaves once those reduced costs are all at least -_DUAL_TOL * max|C|.
-    Its plan is B^-1 b clipped at 0, with zero-mass atoms' rows and columns
-    zeroed. Every step acts on each start's own rows, and the last active
-    start takes the same steps on plain views (``_solve_one``), so a start's
-    plans are bitwise what it gets solved alone. After a solve, ``pivots``
-    holds each start's pivot count and ``rounds`` the number of rounds.
+    every active start in one numpy operation, into one (T, n, m) buffer the
+    call reuses, and pivots each start once: the most negative reduced cost
+    enters (Dantzig's rule), the ratio test picks the leaving cell on its
+    cycle, the inverse takes the rank-one update of the cycle (rows off it
+    subtract zero) and the duals move by the leaving cell's row of the
+    inverse. After n*m rounds a solve keeps to Bland's rule (first negative
+    cell in, smallest cell out among ties), so it cannot cycle; after
+    ``max_pivots`` (_PIVOTS_PER_CELL * n * m) pivots a start fails with
+    NoConvergence. A start that looks optimal on its updated duals
+    recomputes them from its basis and prices again; it leaves once those
+    reduced costs are all at least -_DUAL_TOL * max|C|, and its basis is
+    saved. At the end of the call the plans of all solved starts are read
+    out at once, each B^-1 b of its saved basis clipped at 0, with zero-mass
+    atoms' rows and columns zeroed. Every step acts on each start's own
+    rows, and the last active start takes the same steps on plain views
+    (``_solve_one``), so a start's plans are bitwise what it gets solved
+    alone. After a solve, ``pivots`` holds each start's pivot count and
+    ``rounds`` the number of rounds.
 
     Its ``marginals`` (h, g) are what ``solve_exact_ot`` checks a model
     against.
@@ -182,21 +185,27 @@ class TransportLp:
                     )
                     enter[done], gain[done] = s.price(bland, done)
                     done = gain >= s.neg_tol
-                self._leave(s, done, plans)
-                enter, gain = enter[~done], gain[~done]
-                s.keep(~done)
+                if done.any():
+                    self._leave(s)
+                    enter, gain = enter[~done], gain[~done]
+                    s.keep(~done)
             if self.rounds > self.max_pivots:
                 break
             if s.index.size:
                 s.pivot(enter, gain, bland)
         if s.index.size == 1 and self.rounds <= self.max_pivots and self._solve_one(s):
-            self._leave(s, np.ones(1, dtype=bool), plans)
+            self._leave(s)
         elif s.index.size:
             for t in s.index:
                 errors[t] = NoConvergence(
                     f"transportation LP {t} reached the pivot cap ({self.max_pivots})"
                 )
-            self._leave(s, np.zeros(s.index.size, dtype=bool), plans)
+            self._leave(s)
+        # every start without an error is solved: its plan is B^-1 b of its
+        # saved basis, clipped at 0
+        solved = np.flatnonzero([error is None for error in errors])
+        values = np.clip(self._inverse[solved].astype(np.float64) @ self._b, 0.0, None)
+        plans[solved[:, None], self._basis[solved]] = values
         if self._void.size:
             plans[:, self._void] = 0.0
         return plans.reshape(T, n, m), errors
@@ -234,19 +243,20 @@ class TransportLp:
             basis[out] = enter
             y += gain * row
 
-    def _leave(self, s, solved, plans):
-        """Keep the bases of all starts in ``s``; write the plans of those
-        that ``solved``."""
+    def _leave(self, s):
+        """Save the bases, inverses and pivot counts of all starts in ``s``;
+        ``solve`` reads the solved starts' plans out of the saved bases once,
+        at the end of the call."""
         self._basis[s.index], self._inverse[s.index] = s.basis, s.inverse
         self.pivots[s.index] = self.rounds - 1
-        values = np.clip(s.inverse[solved].astype(np.float64) @ self._b, 0.0, None)
-        plans[s.index[solved, None], s.basis[solved]] = values
 
 
 class _Starts:
     """The state of the starts a ``TransportLp.solve`` still pivots, one row
     per start: its index in the stack, costs, dual tolerance, basis cells,
-    basis inverse, basic values x and duals y."""
+    basis inverse, basic values x and duals y. ``reduced`` (T, n, m), sized
+    for the starts the solve began with, holds each pricing's reduced
+    costs in its first rows."""
 
     FIELDS = ("index", "c", "neg_tol", "basis", "inverse", "x", "y")
 
@@ -261,6 +271,7 @@ class _Starts:
         inverse = self.inverse.astype(np.float64)
         self.x, self.y = inverse @ lp._b, _duals(self.c, self.basis, inverse)
         self.starts = np.arange(index.size)
+        self.reduced = np.empty((index.size, self.n, self.m))
 
     def keep(self, rows):
         for name in self.FIELDS:
@@ -270,16 +281,18 @@ class _Starts:
     def price(self, bland, rows=slice(None)):
         """The entering cell of each start in ``rows`` and its reduced cost:
         the most negative one, or under Bland's rule the first below
-        -tol."""
+        -tol. The reduced costs go into the solve's one buffer."""
         n, m = self.n, self.m
         y = self.y[rows]
-        reduced = self.c[rows].reshape(-1, n, m) - y[:, :n, None]
+        reduced = self.reduced[: len(y)]
+        np.subtract(self.c[rows].reshape(-1, n, m), y[:, :n, None], out=reduced)
         reduced -= y[:, None, n:]
         reduced = reduced.reshape(len(y), n * m)
         if bland:
             enter = (reduced < self.neg_tol[rows, None]).argmax(axis=1)
-            return enter, reduced[self.starts[: len(y)], enter]
-        return reduced.argmin(axis=1), reduced.min(axis=1)
+        else:
+            enter = reduced.argmin(axis=1)
+        return enter, reduced[self.starts[: len(y)], enter]
 
     def pivot(self, enter, gain, bland):
         """One pivot of every start: cell ``enter`` of reduced cost ``gain``
@@ -464,8 +477,9 @@ def nearest_capacity_assignment(shares, u, d) -> np.ndarray:
     over _TIE_MARGIN, and those agents' loads fit, giving each task that
     agent is the unique optimum and is returned without a solver.
     Otherwise one HiGHS MILP over x (n*m) and z (m), z_j = 1 marking task
-    j uncovered, gives the answer, and among equally near assignments
-    HiGHS's search picks the one returned.
+    j uncovered, gives the answer to HiGHS's default relative gap
+    (``mip_rel_gap``, 1e-4), and among equally near assignments HiGHS's
+    search picks the one returned.
     """
     n, m = shares.shape
     u = np.asarray(u, dtype=np.float64)

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import warnings
 from pathlib import Path
@@ -372,6 +373,50 @@ class TestDegenerateLps:
         for t in (0, 2):
             assert errors[t] is None
             assert np.array_equal(plans[t], solve_exact_ot(costs[t].reshape(4, 3), h, g)[0].plan)
+
+
+def _digest(*arrays):
+    """Short fingerprint of the exact bytes of some arrays."""
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(np.ascontiguousarray(a).tobytes())
+    return sha.hexdigest()[:16]
+
+
+# a 20-start stack of one 20 x 20 LP of integer masses, as a multi-init's
+# Frank-Wolfe steps solve it: after each call, digests of the plans, of
+# `pivots` and `rounds`, and of the saved bases and their inverses. Recorded
+# with the engine that wrote each group of plans as its starts left, so a
+# change to the engine's bookkeeping must reproduce them, not re-record them
+ENGINE_PINS = [
+    ("623c7160e8407795", "1d23ac4c25d16b40", 77, "10b2d8009589e485"),
+    ("157723620f005535", "ec177c496f50458e", 9, "32fb20da9c3c5467"),
+    ("4c00ec4a6ca4feaa", "18e67cfe62d3ce24", 73, "64fd7f1dd3230a73"),
+]
+
+
+def test_stack_of_starts_pinned():
+    rng = np.random.default_rng(20)
+    h = normalize_masses(rng.integers(1, 9, size=20).astype(float))
+    g = normalize_masses(rng.integers(1, 5, size=20).astype(float))
+    model = TransportLp(h, g).branch(20)
+    cold = rng.uniform(0, 10, size=(20, 400))
+    # the warm calls: the kept starts' costs nudged, then a fresh draw with
+    # one non-finite row
+    nudged = cold[::2] + rng.uniform(0, 0.5, size=(10, 400))
+    fresh = rng.uniform(0, 10, size=(10, 400))
+    fresh[4, 17] = np.inf
+    got = []
+    for k, costs in enumerate((cold, nudged, fresh)):
+        if k == 1:
+            model.keep(np.arange(0, 20, 2))
+        plans, errors = solve_exact_ot(costs, h, g, model=model)
+        assert [t for t, e in enumerate(errors) if e is not None] == ([4] if k == 2 else [])
+        got.append((
+            _digest(plans), _digest(model.pivots), model.rounds,
+            _digest(model._basis, model._inverse),
+        ))
+    assert got == ENGINE_PINS
 
 
 def _north_west_plan(h, g):
