@@ -66,7 +66,7 @@ NAMED_SPECS = {
 
 _CAP_LOW, _CAP_HIGH = 1, 6  # inclusive integer range for capacities/demands
 _GENERATION_ATTEMPTS = 100  # demand draws before generation fails
-_FEASIBILITY_PRECHECK_CELLS = 20  # oracle pre-check limit (n*m)
+_FEASIBILITY_PRECHECK_CELLS = 20  # packing pre-check limit (n*m)
 # the suite runs the oracle when its search tree has at most this many leaves
 _ORACLE_LEAVES = 1_000_000
 
@@ -222,9 +222,10 @@ def generate_instance(spec: InstanceSpec) -> CqapInstance:
     Positions are Uniform([0,10]^2); capacities and demands are uniform
     integers in {1..6}. Demands are redrawn (same stream, at most
     _GENERATION_ATTEMPTS draws) until the instance passes a feasibility
-    check. Up to _FEASIBILITY_PRECHECK_CELLS cells the exact oracle proves
-    a feasible assignment exists; above that only sum u >= sum d is
-    checked, so a larger instance may admit no feasible assignment.
+    check. Up to _FEASIBILITY_PRECHECK_CELLS cells a first-feasible search
+    proves a feasible assignment exists, the decision the exact oracle's
+    Infeasible makes; above that only sum u >= sum d is checked, so a
+    larger instance may admit no feasible assignment.
     """
     rng = spec.seed.generator()
     n, m = spec.n_agents, spec.n_tasks
@@ -258,11 +259,30 @@ def _instance_feasible(inst: CqapInstance) -> bool:
     if inst.capacity.sum() < inst.demand.sum():
         return False
     if inst.n * inst.m <= _FEASIBILITY_PRECHECK_CELLS:
-        try:
-            solve_exact_enum(inst)
-        except Infeasible:
-            return False
+        return _packs(inst.capacity.tolist(), sorted(inst.demand.tolist(), reverse=True))
     return True
+
+
+def _packs(residual: list, demand: list, k: int = 0) -> bool:
+    """Whether tasks k.. of ``demand`` each fit on one agent without
+    overfilling any: a depth-first search that stops at the first feasible
+    assignment, the decision the exact oracle's Infeasible makes. Agents
+    with equal residuals are interchangeable, so each task tries only the
+    first agent of each residual that holds it; ``residual`` is restored on
+    return. The caller sorts the demands in decreasing order, so the
+    hardest tasks are placed first."""
+    if k == len(demand):
+        return True
+    d, tried = demand[k], set()
+    for i, r in enumerate(residual):
+        if r >= d and r not in tried:
+            tried.add(r)
+            residual[i] = r - d
+            fits = _packs(residual, demand, k + 1)
+            residual[i] = r
+            if fits:
+                return True
+    return False
 
 
 def instance_to_json(inst: CqapInstance, test_id: str = "custom", seed: int = 0) -> str:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gwqap import (
     InstanceSpec,
@@ -20,14 +22,18 @@ from gwqap import (
     sweep,
     to_gw_problem,
 )
-from gwqap.bench import NAMED_SPECS, CSV_COLUMNS, solve_with_method
+from gwqap.bench import NAMED_SPECS, CSV_COLUMNS, _instance_feasible, solve_with_method
+from gwqap.cqap import solve_exact_enum
 from gwqap.errors import (
     DimensionMismatch,
+    GenerationFailed,
+    Infeasible,
     NonEmptyRequired,
     NonFinite,
     UnknownFormat,
     ValidationError,
 )
+from tests.test_cqap import make_instance
 from tests.test_gw import digest
 
 DIAMETER = np.sqrt(200.0)  # diagonal of the [0,10]^2 square
@@ -78,6 +84,61 @@ class TestGenerateInstance:
         for seed in range(10):
             inst = generate_instance(InstanceSpec.named("S2", SeedPolicy(seed)))
             assert inst.capacity.sum() >= inst.demand.sum()
+
+    # sha256 of the instance documents of seeds 0-19, one line each, with
+    # "refused" for a seed the generator turns down; recorded while the
+    # feasibility pre-check still ran the exact oracle
+    SERIES_DIGESTS = {
+        "S1": "71693370164858c8",
+        "S2": "79ca3ac2091ce22e",
+        "S3": "28652cb1fb582bb9",
+    }
+
+    @pytest.mark.parametrize("tid", sorted(SERIES_DIGESTS))
+    def test_pinned_series(self, tid):
+        h = hashlib.sha256()
+        for seed in range(20):
+            try:
+                text = instance_to_json(generate_instance(InstanceSpec.named(tid, SeedPolicy(seed))))
+            except GenerationFailed:
+                text = "refused"
+            h.update(text.encode() + b"\n")
+        assert h.hexdigest()[:16] == self.SERIES_DIGESTS[tid]
+
+
+@st.composite
+def _packing_vectors(draw):
+    """(capacity, demand) of at most 20 cells. Half are uniform draws, where
+    capacities tie and some demands exceed every capacity; half split the
+    total demand, plus up to 2, among the agents, which makes instances
+    that pass the total check and may still not pack."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 20))
+        capacity = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        return capacity, draw(st.lists(st.integers(1, 8), min_size=1, max_size=20 // n))
+    n = draw(st.integers(2, 4))
+    demand = draw(st.lists(st.integers(1, 4), min_size=1, max_size=20 // n))
+    total = sum(demand) + draw(st.integers(0, 2))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+    return [max(1, b - a) for a, b in zip([0, *cuts], [*cuts, total])], demand
+
+
+@settings(max_examples=400, deadline=None)
+@given(_packing_vectors())
+@example(([3, 3], [2, 2, 2]))  # the totals agree, the tasks do not pack
+@example(([4, 4, 4], [3, 3, 3, 3]))  # tied capacities that do not pack
+@example(([5, 3], [3, 3, 2]))  # packs only with 2 beside a 3 on agent 0
+@example(([2, 3], [4]))  # a task no agent can hold
+@example(([6], [1] * 20))  # one agent, twenty tasks
+def test_feasibility_precheck_matches_the_oracle(vectors):
+    # the generator's pre-check decides what the oracle's Infeasible does
+    inst = make_instance(*vectors)
+    try:
+        solve_exact_enum(inst)
+        feasible = True
+    except Infeasible:
+        feasible = False
+    assert _instance_feasible(inst) is feasible
 
 
 class TestInstanceJson:

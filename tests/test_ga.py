@@ -366,6 +366,9 @@ class TestDecodeCache:
         "one-task": ((3, 1), 8, {}),
         "default-config": ("S2", 9, dict(population=GaConfig.population,
                                          generations=GaConfig.generations)),
+        "longer-than-a-draw-block": ("S2", 10, dict(population=30, generations=70)),
+        "two-chromosomes": ("S3", 11, dict(population=2)),
+        "small-draw-blocks": ("S3", 12, dict(DRAW_BLOCK=3)),
     }
 
     @pytest.mark.parametrize("tid,seed,params", list(BITWISE_CASES.values()), ids=list(BITWISE_CASES))
@@ -407,6 +410,13 @@ class TestRegressionPin:
         ("S2", 2000, dict(population=20, generations=8),
          [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]],
          228.0775787814715, [228.0775787814715] * 9),
+        # suite-S's GA cells (50 x 50) on slots 0 and 3
+        ("S1", 1000, dict(population=50, generations=50),
+         [[1, 0, 1], [0, 0, 0], [0, 1, 0]], 132.85884646723233,
+         [132.85884646723233] * 51),
+        ("S2", 4000, dict(population=50, generations=50),
+         [[0, 0, 1, 1], [0, 1, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+         177.73977549218503, [177.73977549218503] * 51),
     ]
 
     @pytest.mark.parametrize("tid,stream,params,x,obj,history", CASES)
